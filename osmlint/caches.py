@@ -1,14 +1,21 @@
 # -*- coding: utf-8 -*-
-"""Process-lifetime cache registry + content fingerprints.
+"""Process-lifetime cache registry, content fingerprints, and the one
+atomic publish for every on-disk artifact.
 
 Every module-level cache in the engine (collision tables, broadcast ref
-handles, raster bands, shingle checkpoints) registers itself here, so
+handles, raster bands, checkpoint handles) registers itself here, so
 
 * ``clear_caches()`` is the ONE public reset callers (bench --scaling,
   notebooks) use instead of reaching into module privates, and
 * cache keys carry a CONTENT FINGERPRINT (file sizes + mtimes), so an
   input dir regenerated in-place at the same path can never serve stale
   entries.
+
+On disk, ``publish`` is the only way a directory artifact comes into
+being: lineage partitions and synth inputs call it bare, and
+``checkpoint`` layers a keyed, purgeable cache under ``ckpt_root()`` on
+top of it (the shingle and dupspan postings directly, the pair sets and
+the eps-pair mine through ``dataset_checkpoint``).
 """
 
 from __future__ import annotations
@@ -29,55 +36,6 @@ def registered() -> list[dict]:
     return list(_REGISTRY)
 
 
-_PURGERS: list = []
-
-
-def register_purger(fn):
-    """Register a callback that deletes a module's ON-DISK artifacts
-    (checkpoints).  In-memory registry clearing never touches disk —
-    disk checkpoints are content-fingerprinted resume points, correct to
-    reuse — so purgers only run on an explicit ``purge_disk=True``."""
-    _PURGERS.append(fn)
-    return fn
-
-
-def clear_caches(purge_disk: bool = False) -> int:
-    """Empty every registered cache; returns how many dicts were cleared.
-    ``purge_disk=True`` additionally runs the registered disk purgers
-    (for benchmarks that must measure genuinely cold runs of
-    checkpoint-backed operators)."""
-    for c in _REGISTRY:
-        c.clear()
-    if purge_disk:
-        for fn in _PURGERS:
-            fn()
-    return len(_REGISTRY)
-
-
-#: bump when the checkpoint layout changes — part of the on-disk dir name,
-#: so an old-layout checkpoint can never be served to new code.
-_DS_CKPT_VERSION = 1
-
-#: in-memory handle map: full key -> (Dataset | None, stored metrics dict)
-_DS_CKPT: dict = {}
-_REGISTRY.append(_DS_CKPT)
-
-#: on-disk checkpoint dirs this process created or reused — the purger
-#: deletes them when a caller demands genuinely cold runs
-#: (``clear_caches(purge_disk=True)``).
-_DS_CKPT_DIRS: set = set()
-
-
-def _purge_ds_checkpoints() -> None:
-    import shutil
-    for d in list(_DS_CKPT_DIRS):
-        shutil.rmtree(d, ignore_errors=True)
-    _DS_CKPT_DIRS.clear()
-
-
-_PURGERS.append(_purge_ds_checkpoints)
-
-
 def ckpt_root() -> str:
     """Checkpoint root: ``$OSMLINT_CKPT_DIR`` (point it at a shared
     filesystem / object-store mount on a multi-node cluster so every
@@ -89,76 +47,161 @@ def ckpt_root() -> str:
         os.path.join(tempfile.gettempdir(), "osmlint_ckpt"))
 
 
+def sealed(out: str) -> bool:
+    """Whether ``out`` was published by ``publish`` (carries its seal)."""
+    return os.path.exists(os.path.join(out, "_SUCCESS"))
+
+
+def publish(out: str, write, *, replace: bool = False) -> str:
+    """Atomically publish the directory ``out``: ``write(tmp)`` fills a
+    private ``out.tmp.<pid>.<uuid>`` dir, which is sealed with
+    ``_SUCCESS`` and ``os.rename``d into place; returns ``out``.
+
+    ``out`` may live on a shared filesystem that several processes write
+    at once.  If it is already sealed our rename loses and counts as a
+    hit: the sealed dir is left untouched (same path => same content, by
+    the callers' keying) and our temp dir is removed, so two writers'
+    fragments never mix.  An unsealed ``out`` is a crashed writer's
+    leftover and is replaced.
+
+    ``replace=True`` is for an ``out`` with one writer whose caller
+    knows any existing copy is stale (a lineage partition missing from
+    the manifest, synth inputs being regenerated): before writing, it
+    removes ``out`` and the temp dirs that hard-killed earlier writers
+    left beside it, which no ``finally`` of theirs could remove."""
+    import glob
+    import shutil
+    import uuid
+    if replace:
+        for stale in glob.glob(glob.escape(out) + ".tmp.*") + [out]:
+            shutil.rmtree(stale, ignore_errors=True)
+    tmp = f"{out}.tmp.{os.getpid()}.{uuid.uuid4().hex}"
+    os.makedirs(tmp)
+    try:
+        write(tmp)
+        open(os.path.join(tmp, "_SUCCESS"), "w").close()
+        try:
+            os.rename(tmp, out)
+        except OSError:
+            if not sealed(out):
+                shutil.rmtree(out, ignore_errors=True)
+                try:
+                    os.rename(tmp, out)
+                except OSError:
+                    if not sealed(out):    # not a concurrent winner
+                        raise
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+    return out
+
+
+#: full key -> (sealed dir, what ``checkpoint`` returns for it) of every
+#: checkpoint this process created or reused; the dir set is what
+#: ``clear_caches(purge_disk=True)`` deletes
+_CKPT: dict = register({})
+_CKPT_DIRS: set = set()
+
+
+def _purge_checkpoints() -> None:
+    import shutil
+    for d in list(_CKPT_DIRS):
+        shutil.rmtree(d, ignore_errors=True)
+    _CKPT_DIRS.clear()
+
+
+#: on-disk purgers run by ``clear_caches(purge_disk=True)``.  Only keyed
+#: checkpoints are purged: lineage output and synth inputs are published
+#: with bare ``publish`` and are never deleted by a cache reset.
+_PURGERS: list = [_purge_checkpoints]
+
+
+def clear_caches(purge_disk: bool = False) -> int:
+    """Empty every registered cache; returns how many dicts were cleared.
+    ``purge_disk=True`` additionally deletes the on-disk checkpoints (for
+    benchmarks that must measure genuinely cold runs of checkpoint-backed
+    operators).  In-memory clearing never touches disk: a content-keyed
+    checkpoint is a resume point, correct to reuse."""
+    for c in _REGISTRY:
+        c.clear()
+    if purge_disk:
+        for fn in _PURGERS:
+            fn()
+    return len(_REGISTRY)
+
+
+def checkpoint(slug: str, key: tuple, write, load=None):
+    """Keyed on-disk checkpoint: the sealed dir
+    ``<ckpt_root()>/<slug>_<md5(key)>``, built once with ``publish(out,
+    write)`` and reused on every later call with the same (slug, key) —
+    across ``clear_caches()``, and across PROCESSES when
+    ``$OSMLINT_CKPT_DIR`` is shared.  Reusing it is correct, not a
+    warm-cache artifact: ``key`` must embed the input fingerprint
+    (``path_fingerprint``), a layout version and every parameter that
+    shapes the output.
+
+    Returns the dir, or ``load(out)`` when ``load`` is given
+    (``dataset_checkpoint`` reads its Dataset back); either is held in
+    the one in-memory map, so ``load`` runs once per key per process."""
+    import hashlib
+    full_key = (slug,) + tuple(key)
+    hit = _CKPT.get(full_key)
+    if hit is None or not sealed(hit[0]):
+        out = os.path.join(
+            ckpt_root(),
+            f"{slug}_" + hashlib.md5(repr(full_key).encode()).hexdigest())
+        if not sealed(out):
+            publish(out, write)
+        hit = _CKPT[full_key] = (out, out if load is None else load(out))
+        _CKPT_DIRS.add(out)
+    return hit[1]
+
+
+#: bump when the ``dataset_checkpoint`` layout changes — part of the key,
+#: so an old-layout checkpoint can never be served to new code.
+_DS_CKPT_VERSION = 1
+
+
 def dataset_checkpoint(slug: str, key: tuple, build,
                        metrics: dict | None = None,
                        metrics_key: str | None = None):
-    """Content-fingerprinted parquet checkpoint for a derived Dataset —
-    the generalization of the shingle/eps-pair resume pattern (VERDICT
-    r4 #5) used by the verified near-dup pair families.
+    """A derived Dataset served from a ``checkpoint``: the near-dup pair
+    sets and the eps-pair mine.
 
     ``build()`` returns a ``ray.data.Dataset`` or ``None`` (empty).  The
-    result is materialized once, published ATOMICALLY (private temp dir +
-    ``os.rename`` — a losing rename against a concurrent writer is a
-    cache hit, never a half-sealed mix of fragments), and re-reads from
-    parquet on every later call with the same (slug, key): across
-    ``clear_caches()``, and across PROCESSES when ``$OSMLINT_CKPT_DIR``
-    is shared.  Reusing a content-fingerprinted checkpoint is correct,
-    not a warm-cache artifact — keys must embed the input fingerprint
-    (``path_fingerprint``) plus every parameter that shapes the output.
+    result is materialized once, written as parquet under ``data/`` with
+    a ``_META.json`` beside it, and always served read back from the
+    sealed dir — a cold and a warm call return the same layout, and a
+    lost publish race serves the winner.  Returns ``None`` for an empty
+    result.
 
     ``metrics``/``metrics_key``: the cap-skip counters a build records
     under ``metrics[metrics_key]`` are persisted next to the data and
     restored into the CALLER's key on a hit, so a checkpoint hit reports
     the same skip accounting the original build did."""
-    import hashlib
     import json
-    import shutil
 
     import ray.data as rd
 
-    full_key = (slug, _DS_CKPT_VERSION) + tuple(key)
-    hit = _DS_CKPT.get(full_key)
-    if hit is None:
-        out = os.path.join(
-            ckpt_root(),
-            f"{slug}_" + hashlib.md5(repr(full_key).encode()).hexdigest())
-        meta_p = os.path.join(out, "_META.json")
-        if os.path.exists(os.path.join(out, "_SUCCESS")):
-            with open(meta_p) as f:
-                meta = json.load(f)
-            ds = None if meta["empty"] \
-                else rd.read_parquet(os.path.join(out, "data")).materialize()
-            hit = (ds, meta.get("metrics"))
-            _DS_CKPT_DIRS.add(out)
-        else:
-            ds = build()
-            if ds is not None:
-                ds = ds.materialize()
-            empty = ds is None or ds.count() == 0
-            stored = metrics.get(metrics_key) if metrics is not None else None
-            tmp = out + f".tmp.{os.getpid()}"
-            shutil.rmtree(tmp, ignore_errors=True)
-            os.makedirs(tmp, exist_ok=True)
-            if not empty:
-                ds.write_parquet(os.path.join(tmp, "data"))
-            with open(os.path.join(tmp, "_META.json"), "w") as f:
-                json.dump({"empty": empty, "metrics": stored}, f)
-            open(os.path.join(tmp, "_SUCCESS"), "w").close()
-            try:
-                os.rename(tmp, out)
-            except OSError:
-                if not os.path.exists(os.path.join(out, "_SUCCESS")):
-                    shutil.rmtree(out, ignore_errors=True)
-                    try:
-                        os.rename(tmp, out)
-                    except OSError:
-                        pass
-                shutil.rmtree(tmp, ignore_errors=True)
-            if os.path.exists(os.path.join(out, "_SUCCESS")):
-                _DS_CKPT_DIRS.add(out)
-            hit = (None if empty else ds, stored)
-        _DS_CKPT[full_key] = hit
-    ds, stored = hit
+    def write(tmp: str) -> None:
+        ds = build()
+        if ds is not None:
+            ds = ds.materialize()
+        empty = ds is None or ds.count() == 0
+        if not empty:
+            ds.write_parquet(os.path.join(tmp, "data"))
+        with open(os.path.join(tmp, "_META.json"), "w") as f:
+            json.dump({"empty": empty, "metrics": metrics.get(metrics_key)
+                       if metrics is not None else None}, f)
+
+    def load(out: str) -> tuple:
+        with open(os.path.join(out, "_META.json")) as f:
+            meta = json.load(f)
+        ds = None if meta["empty"] \
+            else rd.read_parquet(os.path.join(out, "data")).materialize()
+        return ds, meta["metrics"]
+
+    ds, stored = checkpoint(slug, (_DS_CKPT_VERSION,) + tuple(key),
+                            write, load)
     if metrics is not None and metrics_key is not None:
         metrics[metrics_key] = stored if stored is not None \
             else {"skipped_buckets": 0, "skipped_docs": 0}

@@ -74,13 +74,6 @@ def default_map_checks() -> list[MapCheck]:
     return mcs
 
 
-def map_checks_by_slug() -> dict[str, list[MapCheck]]:
-    out: dict[str, list[MapCheck]] = {}
-    for mc in default_map_checks():
-        out.setdefault(mc.slug, []).append(mc)
-    return out
-
-
 def from_json(cfg) -> list[MapCheck]:
     """The reference's config.json contract (config.json:1-39): named groups
     × ``{maps: {name -> location}, checks: [FQN strings]}``, Cartesian-

@@ -58,6 +58,8 @@ local closure, with rounds >= 1.6x the measured convergence point.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -215,100 +217,46 @@ def _eps_pairs_group(g: pd.DataFrame, *, eps_km: float) -> pa.Table:
     return pa.concat_tables(outs)
 
 
-_PAIRS_CACHE: dict = caches.register({})
-
 #: bump when the mined-pair checkpoint SCHEMA changes (part of the
-#: on-disk dir name, so an old checkpoint can never serve new code)
+#: checkpoint key, so an old checkpoint can never serve new code)
 _PAIRS_CKPT_VERSION = 1
-
-#: pair-checkpoint dirs this process created/reused (purged only on an
-#: explicit ``clear_caches(purge_disk=True)`` — same policy as the
-#: shingle checkpoints)
-_PAIRS_CKPT_DIRS: set = set()
-
-
-@caches.register_purger
-def _purge_pair_checkpoints() -> None:
-    import shutil
-    for p in list(_PAIRS_CKPT_DIRS):
-        shutil.rmtree(p, ignore_errors=True)
-    _PAIRS_CKPT_DIRS.clear()
 
 
 def mined_eps_pairs(data_dir: str, *, map_slug: str = "serbia_pbf",
                     eps_km: float = EPS_KM, res: int = RES,
                     group_res: int = GROUP_RES) -> rd.Dataset:
     """Shared eps-pair mining over the deduped named-CTV points —
-    ``(doc_a, doc_b, dist_km, raw_ok)``, materialized and cached per
-    (input fingerprint, eps, res) so ``geo_clusters``,
-    ``geo_cluster_stats``, ``geo_range_join``, Ripley's K, the
-    semivariogram and the NN stats mine the corpus once per driver
-    sweep.
+    ``(doc_a, doc_b, dist_km, raw_ok)``, materialized once per (input
+    fingerprint, eps, res) so ``geo_clusters``, ``geo_cluster_stats``,
+    ``geo_range_join``, Ripley's K, the semivariogram and the NN stats
+    mine the corpus once per driver sweep.
 
-    The mine — the most expensive stage of the spatial family — is
-    ALSO checkpointed to content-fingerprinted parquet (the
-    ``shingle_checkpoint`` resume pattern): a re-run over the same
-    input skips straight to the consumers, including across process
-    restarts and ``clear_caches()``; ``clear_caches(purge_disk=True)``
-    deletes the dirs for a genuinely cold run.  Root comes from
-    ``$OSMLINT_CKPT_DIR`` (point it at a shared filesystem on a
-    multi-node cluster so every worker sees all blocks)."""
-    import hashlib as _hl
-    import os
-    import tempfile
+    The mine — the most expensive stage of the spatial family — is a
+    ``caches.dataset_checkpoint`` (``eps_pairs_*`` under
+    ``caches.ckpt_root()``, sealed by ``caches.publish``): a re-run over
+    the same input skips straight to the consumers, including across
+    process restarts and ``clear_caches()``;
+    ``clear_caches(purge_disk=True)`` deletes it for a genuinely cold
+    run."""
     shard = os.path.join(data_dir, "docs", f"map={map_slug}")
-    ckey = (shard, caches.path_fingerprint(shard), map_slug,
-            eps_km, res, group_res, _PAIRS_CKPT_VERSION)
-    if ckey in _PAIRS_CACHE:
-        return _PAIRS_CACHE[ckey]
-    root = os.environ.get(
-        "OSMLINT_CKPT_DIR",
-        os.path.join(tempfile.gettempdir(), "osmlint_ckpt"))
-    out = os.path.join(
-        root, "eps_pairs_" + _hl.md5(repr(ckey).encode()).hexdigest())
-    if os.path.exists(os.path.join(out, "_SUCCESS")):
-        pairs = rd.read_parquet(out).materialize()
-        _PAIRS_CACHE[ckey] = pairs
-        _PAIRS_CKPT_DIRS.add(out)
-        return pairs
-    points = named_ctv_deduped(data_dir, map_slug=map_slug) \
-        .map_batches(_to_nodes, batch_format="pyarrow")
-    pairs = points.map_batches(
-        _replicate, batch_format="pyarrow",
-        fn_kwargs={"res": res, "group_res": group_res}) \
-        .groupby("gcell").map_groups(
-            _eps_pairs_group, batch_format="pandas",
-            fn_kwargs={"eps_km": eps_km}) \
-        .materialize()
-    # an empty mine writes no parquet fragments (read-back would fail);
-    # cache it in-memory only
-    if pairs.count() > 0:
-        import shutil
-        # Atomic publish: $OSMLINT_CKPT_DIR may be a shared filesystem,
-        # so two processes mining the same input can race.  Write to a
-        # private temp dir and os.rename() it into place — a losing
-        # rename (dir already exists) is a cache hit, never a
-        # half-sealed mix of two writers' fragments.
-        tmp = out + f".tmp.{os.getpid()}_{id(pairs):x}"
-        shutil.rmtree(tmp, ignore_errors=True)
-        pairs.write_parquet(tmp)
-        open(os.path.join(tmp, "_SUCCESS"), "w").close()
-        try:
-            os.rename(tmp, out)
-        except OSError:
-            if not os.path.exists(os.path.join(out, "_SUCCESS")):
-                # stale unsealed dir from a crashed writer — replace it
-                shutil.rmtree(out, ignore_errors=True)
-                try:
-                    os.rename(tmp, out)
-                except OSError:
-                    pass
-            shutil.rmtree(tmp, ignore_errors=True)
-        if os.path.exists(os.path.join(out, "_SUCCESS")):
-            pairs = rd.read_parquet(out).materialize()
-            _PAIRS_CKPT_DIRS.add(out)
-    _PAIRS_CACHE[ckey] = pairs
-    return pairs
+
+    def build() -> rd.Dataset:
+        points = named_ctv_deduped(data_dir, map_slug=map_slug) \
+            .map_batches(_to_nodes, batch_format="pyarrow")
+        return points.map_batches(
+            _replicate, batch_format="pyarrow",
+            fn_kwargs={"res": res, "group_res": group_res}) \
+            .groupby("gcell").map_groups(
+                _eps_pairs_group, batch_format="pandas",
+                fn_kwargs={"eps_km": eps_km})
+
+    pairs = caches.dataset_checkpoint(
+        "eps_pairs", (shard, caches.path_fingerprint(shard), map_slug,
+                      eps_km, res, group_res, _PAIRS_CKPT_VERSION), build)
+    # an empty mine is checkpointed meta-only; consumers still need the
+    # mine's columns
+    return pairs if pairs is not None \
+        else rd.from_arrow(_MINE_SCHEMA.empty_table())
 
 
 _GOLD = np.uint64(0x9E3779B97F4A7C15)
@@ -415,7 +363,6 @@ def geo_clusters(data_dir: str, *, map_slug: str = "serbia_pbf",
     frame; above it the fully distributed path below takes over
     (``small_threshold=0`` forces it — the dual-path test compares
     both)."""
-    import os
     shard = os.path.join(data_dir, "docs", f"map={map_slug}")
     if small_threshold is None:
         small_threshold = SMALL_PAIRS

@@ -15,20 +15,23 @@ Layout under ``out_dir``::
                                (tmp + rename) after EACH partition
 
 ``run_resumable`` skips partitions already present in the manifest, so a
-killed run continues where it stopped; a finished partition's output
-directory is replaced atomically, never appended to."""
+killed run continues where it stopped.  The manifest is the authority:
+each partition it lacks is rewritten with ``caches.publish(...,
+replace=True)``, which first removes whatever a crashed or earlier run
+left under that slug (sealed or not, temp dirs included), then publishes
+atomically, sealed with ``_SUCCESS``.  Readers take the partitions from
+``partition_dirs``, never from a directory listing.  Lineage output is
+not a cache — ``clear_caches(purge_disk=True)`` never deletes it."""
 
 from __future__ import annotations
 
 import json
 import os
-import shutil
 import time
 
-import ray
+import pyarrow.parquet as pq
 
-from . import config as config_mod
-from . import pipeline
+from . import caches, pipeline
 
 
 def _manifest_path(out_dir: str) -> str:
@@ -55,24 +58,12 @@ def partitions(data_dir: str) -> list[str]:
     return pipeline.doc_partitions(data_dir)
 
 
-def flags_for_partition(data_dir: str, slug: str):
-    """The flagship chain restricted to one map shard."""
-    import pyarrow as pa
-    import ray.data as rd
-    refs = pipeline.broadcast_refs(data_dir)
-    path = os.path.join(data_dir, "docs", f"map={slug}")
-    ds = rd.read_parquet(path, columns=["doc_id", "spans"])
-    ds = ds.map_batches(pipeline.decode_and_index, batch_format="pyarrow")
-    coll_ref = pipeline.collision_keys_ref(data_dir, [slug], read_path=path)
-    ds = ds.map_batches(pipeline.dedup_filter, batch_format="pyarrow",
-                        fn_kwargs={"collisions_ref": coll_ref})
-    ds = ds.map_batches(pipeline.pip_assign_batch, batch_format="pyarrow",
-                        fn_kwargs={"countries_ref": refs["countries"],
-                                   "tiles_ref": refs["tiles"]})
-    ds = ds.map_batches(pipeline.flag_batch, batch_format="pyarrow",
-                        fn_kwargs={"wiki_ref_ref": refs["wiki_ref"],
-                                   "wikidata_ref_ref": refs["wikidata_ref"]})
-    return ds
+def partition_dirs(out_dir: str) -> list[str]:
+    """The ``part=<slug>`` dir of every partition in the manifest: the
+    output of a (possibly resumed) run, without the leftovers of a
+    killed writer that may sit beside it."""
+    return [os.path.join(out_dir, f"part={slug}")
+            for slug in sorted(load_manifest(out_dir))]
 
 
 def run_resumable(data_dir: str, out_dir: str, *,
@@ -88,14 +79,11 @@ def run_resumable(data_dir: str, out_dir: str, *,
         if slug in manifest:
             continue
         t0 = time.time()
-        ds = flags_for_partition(data_dir, slug)
-        part_dir = os.path.join(out_dir, f"part={slug}")
-        tmp_dir = part_dir + ".tmp"
-        shutil.rmtree(tmp_dir, ignore_errors=True)
-        shutil.rmtree(part_dir, ignore_errors=True)
-        ds.write_parquet(tmp_dir)
-        os.replace(tmp_dir, part_dir)
-        import pyarrow.parquet as pq
+        part_dir = caches.publish(
+            os.path.join(out_dir, f"part={slug}"),
+            lambda tmp: pipeline.flags_dataset(
+                data_dir, partition=slug).write_parquet(tmp),
+            replace=True)
         flags = pq.read_table(part_dir, columns=["result"])
         n_err = flags.column("result").to_pandas().eq("CHECKED_ERROR").sum()
         manifest[slug] = {

@@ -223,25 +223,34 @@ class FlagStage:
 _WORKER_CACHE: dict = caches.register({})
 
 
-def _cached(key, builder):
+def _cached(tag: str, refs: tuple, builder):
     """Per-worker-process state cache.  Task-based stages + this cache give
     actor-pool state reuse (build once per process) without actor-pool
     costs: no pool spawn per execution, no fixed CPU reservation, and Ray
-    can fuse the whole decode→dedup→PIP→checks chain into one task."""
-    v = _WORKER_CACHE.get(key)
-    if v is None:
-        v = _WORKER_CACHE[key] = builder()
-    return v
+    can fuse the whole decode→dedup→PIP→checks chain into one task.
+
+    An ObjectRef is keyed by its id string.  A plain object (the
+    in-process path passes DataFrames) is keyed by ``id()`` — never by
+    ``str()``, which formats the whole frame and prints two long frames
+    that differ only in middle rows identically — and is pinned in the
+    cached value so its id cannot be reused while the entry lives."""
+    key = (tag,) + tuple(str(r) if isinstance(r, ray.ObjectRef) else id(r)
+                         for r in refs)
+    hit = _WORKER_CACHE.get(key)
+    if hit is None:
+        pinned = [r for r in refs if not isinstance(r, ray.ObjectRef)]
+        hit = _WORKER_CACHE[key] = (builder(), pinned)
+    return hit[0]
 
 
 def pip_assign_batch(batch: pa.Table, countries_ref, tiles_ref) -> pa.Table:
-    stage = _cached(("pip", str(countries_ref), str(tiles_ref)),
+    stage = _cached("pip", (countries_ref, tiles_ref),
                     lambda: PipAssign(countries_ref, tiles_ref))
     return stage(batch)
 
 
 def flag_batch(batch: pa.Table, wiki_ref_ref, wikidata_ref_ref) -> pa.Table:
-    stage = _cached(("flags", str(wiki_ref_ref), str(wikidata_ref_ref)),
+    stage = _cached("flags", (wiki_ref_ref, wikidata_ref_ref),
                     lambda: FlagStage(wiki_ref_ref, wikidata_ref_ref))
     return stage(batch)
 
@@ -260,17 +269,6 @@ def _empty_flags() -> pd.DataFrame:
 # ---------------------------------------------------------------------------
 # wide steps
 # ---------------------------------------------------------------------------
-
-def auto_concurrency(n_pools: int = 2) -> int:
-    """Actor-pool size that leaves CPUs for the stateless read/decode/shuffle
-    stages: a pool that reserves every CPU starves the rest of the pipeline
-    and the streaming executor stalls (observed at num_cpus=4)."""
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 4))
-    except Exception:
-        cpus = 4
-    return max(1, (cpus - 2) // n_pools)
-
 
 N_BUCKETS_FLOOR = 64   # floor for the coarse shuffle fan-out
 SHUFFLE_BLOCKS = 16  # floor for the pre-shuffle coalesce target
@@ -306,21 +304,6 @@ def _bucket_of(osm_id: np.ndarray, n_buckets: int) -> np.ndarray:
     """Deterministic hash bucket of the entity id (stable across processes)."""
     h = (osm_id.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15))
     return (h >> np.uint64(40)).astype(np.int64) % n_buckets
-
-
-def _with_bucket(n_buckets: int):
-    def add(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["_b"] = _bucket_of(df["osm_id"].to_numpy(), n_buckets)
-        return df
-    return add
-
-
-def _bucket_arrow(n_buckets: int):
-    def add(batch: pa.Table) -> pa.Table:
-        b = _bucket_of(batch["osm_id"].to_numpy(zero_copy_only=False), n_buckets)
-        return batch.append_column("_b", pa.array(b, type=pa.int64()))
-    return add
 
 
 _KEY_SCHEMA = pa.schema([("key", pa.int64()), ("seq", pa.int64()),
@@ -538,25 +521,6 @@ def dedup_filter(batch: pa.Table, collisions_ref) -> pa.Table:
     return batch.filter(pa.array(keep))
 
 
-def dedup_last_wins(flags: rd.Dataset, n_buckets: int | None = None) -> rd.Dataset:
-    """Per-map last-wins dedup by bare entity id (A5,
-    src/sources/osm_source.py:43): keep the flag rows of the highest-seq doc
-    per (map_name, osm_id).
-
-    Shuffle shape: groupby a coarse (map, id-hash-bucket) key — a bounded
-    number of groups each holding thousands of entities — then a VECTORIZED
-    pandas transform inside the group.  Never one Python call per entity."""
-    if n_buckets is None:
-        n_buckets = globals()["n_buckets"]()
-
-    def drop_dups(g: pd.DataFrame) -> pa.Table:
-        mx = g.groupby("osm_id", sort=False)["seq"].transform("max")
-        return to_arrow(g[g["seq"] == mx].drop(columns="_b"), schema.FLAGS)
-    return (flags.map_batches(_bucket_arrow(n_buckets), batch_format="pyarrow")
-            .groupby(["map_name", "_b"])
-            .map_groups(drop_dups, batch_format="pandas"))
-
-
 _REFS_CACHE: dict = caches.register({})
 
 
@@ -591,10 +555,10 @@ def broadcast_refs(data_dir: str) -> dict:
     return refs
 
 
-def flags_dataset(data_dir: str, *, with_pip: bool = True, dedup: bool = True,
-                  concurrency: int | None = None,
-                  batch_size: int = 8192) -> rd.Dataset:
-    """The flagship lint pipeline as a lazy Dataset.
+def flags_dataset(data_dir: str, *, partition: str | None = None,
+                  with_pip: bool = True, dedup: bool = True) -> rd.Dataset:
+    """The flagship lint pipeline as a lazy Dataset — the ONE definition
+    of decode → dedup → PIP → checks.
 
     Dedup is a broadcast anti-join applied BEFORE the check kernels: the
     collision table (small side) comes from a separate streaming narrow
@@ -602,16 +566,25 @@ def flags_dataset(data_dir: str, *, with_pip: bool = True, dedup: bool = True,
     only collisions), is broadcast, and applied as a vectorized filter —
     the big stream itself never shuffles and is never materialized.
 
+    ``partition`` restricts the chain to one ``map=<slug>`` shard (the
+    lineage unit of work): an uncoalesced read of that shard, with the
+    collision pre-pass over that shard alone.
+
     All stages are TASK-based ``map_batches`` with per-worker state caching
     (``_cached``): Ray fuses the chain into one task per block, warm worker
     processes reuse the built STRtree / lookup state, and no stage reserves
-    CPUs an upstream stage might starve for.  ``concurrency``/``batch_size``
-    are kept for the (rare) caller that wants an explicit actor pool."""
+    CPUs an upstream stage might starve for."""
     refs = broadcast_refs(data_dir)
-    ds = read_documents(data_dir)
+    if partition is None:
+        ds, path = read_documents(data_dir), None
+        slugs = doc_partitions(data_dir)
+    else:
+        path = os.path.join(data_dir, "docs", f"map={partition}")
+        ds = rd.read_parquet(path, columns=["doc_id", "spans"])
+        slugs = [partition]
     ds = ds.map_batches(decode_and_index, batch_format="pyarrow")
     if dedup:
-        coll_ref = collision_keys_ref(data_dir, doc_partitions(data_dir))
+        coll_ref = collision_keys_ref(data_dir, slugs, read_path=path)
         ds = ds.map_batches(dedup_filter, batch_format="pyarrow",
                             fn_kwargs={"collisions_ref": coll_ref})
     if with_pip:

@@ -23,7 +23,7 @@ import os
 
 import pandas as pd
 
-from . import pipeline
+from . import caches, pipeline
 
 
 def render_report(flags_ds, *, date=None) -> str:
@@ -117,18 +117,16 @@ def write_report(data_dir: str, out_path: str) -> str:
     object-store materialize), then render the three aggregations from
     cheap columnar re-reads.
 
-    The checkpoint root comes from ``$OSMLINT_CKPT_DIR``.  The local-tmp
+    The scratch dir lives under ``caches.ckpt_root()``.  Its local-tmp
     default is SINGLE-NODE ONLY: on a multi-node cluster each worker
-    writes its blocks to its own node's tmp, so point the variable at a
-    shared filesystem / object-store URI there (ADVICE r2 #5)."""
+    writes its blocks to its own node's tmp, so point
+    ``$OSMLINT_CKPT_DIR`` at a shared filesystem / object-store URI there
+    (ADVICE r2 #5)."""
     import shutil
-    import tempfile
     import uuid
 
     import ray.data as rd
-    root = os.environ.get("OSMLINT_CKPT_DIR")
-    tmp = (os.path.join(root, f"flags_{uuid.uuid4().hex}") if root
-           else tempfile.mkdtemp(prefix="osmlint_flags_"))
+    tmp = os.path.join(caches.ckpt_root(), f"flags_{uuid.uuid4().hex}")
     try:
         pipeline.flags_dataset(data_dir).write_parquet(tmp)
         html = render_report(rd.read_parquet(tmp))

@@ -2,7 +2,8 @@
 """Deterministic synthetic data: Serbia-extent OSM span-documents + reference
 tables, seeded (seed=42), scale-parametric.  No external data.
 
-Produces, under ``<base>/sf<sf>/`` (atomic rename; idempotent):
+Produces, under ``<base>/sf<sf>/`` (one atomic ``caches.publish``,
+sealed with ``_SUCCESS``; idempotent):
 
 * ``docs/map=<slug>/part-*.parquet`` — the driver-mandated document table
   (doc_id, spans), hive-partitioned per (group, map) pair exactly like the
@@ -25,14 +26,13 @@ from __future__ import annotations
 
 import json
 import os
-import shutil
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from . import rules, spans, translit
+from . import caches, rules, spans, translit
 
 SEED = 42
 DEFAULT_BASE = os.environ.get("OSMLINT_DATA", "/tmp/osmlint_synth")
@@ -400,19 +400,20 @@ for _r in rules.RULES:
 def generate(sf_dir_or_sf, base: str | None = None, force: bool = False) -> str:
     """Generate (or reuse cached) synthetic data; returns the sf directory."""
     out_dir = synth_dir(sf_dir_or_sf, base)
-    done = os.path.join(out_dir, "_DONE")
-    if os.path.exists(done) and not force:
+    if caches.sealed(out_dir) and not force:
         return out_dir
-
     sf = sf_value(sf_token(sf_dir_or_sf))
+    return caches.publish(out_dir, lambda tmp: _write_tables(tmp, sf),
+                          replace=True)
+
+
+def _write_tables(tmp: str, sf: float) -> None:
+    """Write every synthetic table for scale factor ``sf`` into ``tmp``."""
     n_total = n_rows_for_sf(sf)
     rng = np.random.default_rng(SEED)
     pool = _make_pool(rng, max(400, n_total // 10))
 
-    tmp = out_dir + ".tmp"
-    shutil.rmtree(tmp, ignore_errors=True)
-    shutil.rmtree(out_dir, ignore_errors=True)
-    os.makedirs(os.path.join(tmp, "docs"), exist_ok=True)
+    os.makedirs(os.path.join(tmp, "docs"))
 
     n_serbia = int(n_total * 0.82)
     frames = [_gen_entities(rng, n_serbia, SERBIA_EXTENT, pool, 1_000_000,
@@ -463,7 +464,3 @@ def generate(sf_dir_or_sf, base: str | None = None, force: bool = False) -> str:
     with open(os.path.join(tmp, "meta.json"), "w") as f:
         json.dump({"sf": sf, "n_total_requested": n_total, "rows_per_map": counts,
                    "seed": SEED}, f, indent=1)
-    with open(os.path.join(tmp, "_DONE"), "w") as f:
-        f.write("ok")
-    os.rename(tmp, out_dir)
-    return out_dir

@@ -362,26 +362,6 @@ def _shingle_core(texts: pd.Series):
     return h, offsets, sigs, sim
 
 
-def shingle_batch(batch: pa.Table) -> pa.Table:
-    """doc -> shingle hash set + minhash signature + simhash (list columns;
-    ``shingle_pack_batch`` is the binary-packed checkpoint flavor)."""
-    df = batch.to_pandas()
-    n = len(df)
-    h, offsets, sigs, sim = _shingle_core(df["text"].fillna(""))
-    sh_list = pa.ListArray.from_arrays(
-        pa.array(offsets.astype(np.int32)),
-        pa.array(h.astype(np.int64), type=pa.int64()))
-    sig_list = pa.ListArray.from_arrays(
-        pa.array(np.arange(0, (n + 1) * N_PERM, N_PERM, dtype=np.int32)),
-        pa.array(sigs.reshape(-1).astype(np.int64), type=pa.int64()))
-    return pa.table({
-        "doc_id": batch["doc_id"],
-        "shingles": sh_list,
-        "minhash": sig_list,
-        "simhash": pa.array(sim, type=pa.int64()),
-    })
-
-
 def _pack_binary_i64(flat: np.ndarray, offsets: np.ndarray) -> pa.Array:
     """int64 row segments -> one Arrow binary column, built straight from
     buffers (no per-row ``tobytes`` loop)."""
@@ -436,23 +416,9 @@ def shingle_pack_batch(batch: pa.Table) -> pa.Table:
     })
 
 
-_SHINGLE_CKPT: dict = caches.register({})
-
-#: bump when the checkpoint SCHEMA changes — part of the on-disk dir name,
+#: bump when the checkpoint SCHEMA changes — part of the checkpoint key,
 #: so an old-schema checkpoint can never be served for new code.
 _CKPT_VERSION = 2
-
-#: on-disk checkpoint dirs this process created/reused; the purger deletes
-#: them when a caller demands genuinely cold runs.
-_CKPT_DIRS: set = set()
-
-
-@caches.register_purger
-def _purge_shingle_checkpoints() -> None:
-    import shutil
-    for d in list(_CKPT_DIRS):
-        shutil.rmtree(d, ignore_errors=True)
-    _CKPT_DIRS.clear()
 
 
 def shingle_checkpoint(sf_dir: str) -> str:
@@ -461,37 +427,16 @@ def shingle_checkpoint(sf_dir: str) -> str:
     blocks, the packed verify-join sides) — the corpus text is read and
     shingled exactly once per input fingerprint (VERDICT r2 #3).
 
-    The checkpoint doubles as the resume point: a re-run over the same
-    (fingerprinted) input skips straight to candidate generation —
-    including across ``clear_caches()``, which only drops the in-memory
-    key map (reusing a content-fingerprinted checkpoint is correct, not a
-    warm-cache artifact; benchmarks needing a genuinely cold shingle pass
-    call ``clear_caches(purge_disk=True)``, which deletes the dirs via
-    the registered purger).  Root dir comes from ``$OSMLINT_CKPT_DIR``;
-    the local-tmp default is the single-node mode — on a multi-node
-    cluster point it at a shared filesystem / object-store URI so every
-    worker sees all blocks."""
-    import hashlib as _hl
-    import tempfile
+    The checkpoint doubles as the resume point: a ``caches.checkpoint``
+    (atomic ``caches.publish`` under ``caches.ckpt_root()``), so a re-run
+    over the same (fingerprinted) input skips straight to candidate
+    generation — including across ``clear_caches()``; benchmarks needing
+    a genuinely cold shingle pass call ``clear_caches(purge_disk=True)``."""
     path = os.path.join(sf_dir, "documents.parquet")
-    key = (path, _CKPT_VERSION, caches.path_fingerprint(path))
-    hit = _SHINGLE_CKPT.get(key)
-    if hit and os.path.exists(os.path.join(hit, "_SUCCESS")):
-        return hit
-    root = os.environ.get(
-        "OSMLINT_CKPT_DIR",
-        os.path.join(tempfile.gettempdir(), "osmlint_ckpt"))
-    out = os.path.join(root,
-                       "shingles_" + _hl.md5(repr(key).encode()).hexdigest())
-    if not os.path.exists(os.path.join(out, "_SUCCESS")):
-        import shutil
-        shutil.rmtree(out, ignore_errors=True)
-        read_docs(sf_dir).map_batches(
-            shingle_pack_batch, batch_format="pyarrow").write_parquet(out)
-        open(os.path.join(out, "_SUCCESS"), "w").close()
-    _SHINGLE_CKPT[key] = out
-    _CKPT_DIRS.add(out)
-    return out
+    return caches.checkpoint(
+        "shingles", (path, _CKPT_VERSION, caches.path_fingerprint(path)),
+        lambda tmp: read_docs(sf_dir).map_batches(
+            shingle_pack_batch, batch_format="pyarrow").write_parquet(tmp))
 
 
 def read_shingles(sf_dir: str, columns: list[str]) -> rd.Dataset:
@@ -669,20 +614,6 @@ def _verify_jaccard_ds(cand: rd.Dataset, packed: rd.Dataset, tau: float,
     return joined.map_batches(verify, batch_format="pyarrow")
 
 
-def _verify_jaccard(cand: rd.Dataset, packed: rd.Dataset, tau: float,
-                    num_partitions: int = 4) -> pd.DataFrame:
-    empty = pd.DataFrame({"doc_a": pd.Series(dtype=np.int64),
-                          "doc_b": pd.Series(dtype=np.int64),
-                          "jaccard": pd.Series(dtype=np.float64)})
-    ds = _verify_jaccard_ds(cand, packed, tau, num_partitions)
-    if ds is None:
-        return empty
-    df = ds.to_pandas()
-    if df.empty:
-        return empty
-    return df.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
-
-
 def _dedup_pairs(ds: rd.Dataset) -> rd.Dataset:
     """One row per (doc_a, doc_b): meta-bucket groupby + C-level pandas
     dedup inside — NOT a pair-cardinality aggregate() (per-GROUP
@@ -712,8 +643,7 @@ def _minhash_verified_ds(sf_dir: str, tau: float,
     candidates survive banding.  Cap metrics land under ``metrics_key``
     so each caller's skip counters stay distinguishable.
 
-    Checkpointed to content-fingerprinted parquet (same resume contract
-    as ``shingle_checkpoint``): the band shuffle + verify join run ONCE
+    A ``caches.dataset_checkpoint``: the band shuffle + verify join run ONCE
     per (corpus fingerprint, tau, cap) — the second consumer in a sweep
     (``dedup_clusters`` after ``dedup_minhash``) and any re-run over
     unchanged input read the pair set straight back, skip counters
@@ -2252,7 +2182,6 @@ DUPSPAN_K = 5
 #: joined distributively instead of shipped to every worker via ray.put.
 DUPSPAN_BROADCAST_MAX = 4_000_000
 
-_DUPSPAN_CKPT: dict = caches.register({})
 #: dup-key detection result (a materialized Dataset of duplicated gram
 #: keys) shared by ``dup_spans`` and ``dup_span_stats`` — the heaviest
 #: shuffle in the family runs once per checkpoint
@@ -2308,33 +2237,17 @@ def dupspan_postings_batch(batch: pa.Table, k: int = DUPSPAN_K) -> pa.Table:
 
 
 def dupspan_checkpoint(sf_dir: str, k: int = DUPSPAN_K) -> str:
-    """ONE tokenize+hash pass per corpus: the k-gram postings are
-    checkpointed to parquet so the two consumers (dup-key detection and
-    position join-back) each read columns off disk instead of re-running
-    the gram pass (the shingle-checkpoint rule, VERDICT r2 #3).  Same
-    root/purge contract as ``shingle_checkpoint``."""
-    import hashlib as _hl
-    import tempfile
+    """ONE tokenize+hash pass per corpus: the k-gram postings are a
+    ``caches.checkpoint`` (atomic ``caches.publish``) so the two consumers
+    (dup-key detection and position join-back) each read columns off
+    disk instead of re-running the gram pass (VERDICT r2 #3)."""
     path = os.path.join(sf_dir, "documents.parquet")
-    key = (path, k, _DUPSPAN_CKPT_VERSION, caches.path_fingerprint(path))
-    hit = _DUPSPAN_CKPT.get(key)
-    if hit and os.path.exists(os.path.join(hit, "_SUCCESS")):
-        return hit
-    root = os.environ.get(
-        "OSMLINT_CKPT_DIR",
-        os.path.join(tempfile.gettempdir(), "osmlint_ckpt"))
-    out = os.path.join(root,
-                       "dupspan_" + _hl.md5(repr(key).encode()).hexdigest())
-    if not os.path.exists(os.path.join(out, "_SUCCESS")):
-        import shutil
-        shutil.rmtree(out, ignore_errors=True)
-        read_docs(sf_dir).map_batches(
+    return caches.checkpoint(
+        "dupspan",
+        (path, k, _DUPSPAN_CKPT_VERSION, caches.path_fingerprint(path)),
+        lambda tmp: read_docs(sf_dir).map_batches(
             lambda b: dupspan_postings_batch(b, k),
-            batch_format="pyarrow").write_parquet(out)
-        open(os.path.join(out, "_SUCCESS"), "w").close()
-    _DUPSPAN_CKPT[key] = out
-    _CKPT_DIRS.add(out)        # the shingle purger owns all ckpt dirs
-    return out
+            batch_format="pyarrow").write_parquet(tmp))
 
 
 def _merge_spans(g: pd.DataFrame, k: int) -> pa.Table:

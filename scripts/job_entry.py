@@ -46,9 +46,8 @@ def main():
             # render from the partitioned flags run_resumable just wrote —
             # a cheap columnar re-read per aggregation, no pipeline re-run
             # and no object-store materialize
-            parts = [os.path.join(args.out, d) for d in os.listdir(args.out)
-                     if d.startswith("part=")]
-            html = report.render_report(rd.read_parquet(parts))
+            html = report.render_report(
+                rd.read_parquet(lineage.partition_dirs(args.out)))
             with open(p, "w") as f:
                 f.write(html)
             print(json.dumps({"report": p}))

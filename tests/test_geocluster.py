@@ -182,17 +182,21 @@ def test_eps_pair_checkpoint_resume(result):
     in-memory cache resumes from disk with the identical pair set, and
     purge_disk removes the dirs (cold-run contract)."""
     import os
+
+    import osmlint
+    from osmlint import caches
     d, _ = result
     a = geocluster.mined_eps_pairs(d).to_pandas() \
         .sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
-    assert len(geocluster._PAIRS_CKPT_DIRS) >= 1
-    ckpt = next(iter(geocluster._PAIRS_CKPT_DIRS))
+    ckpts = [p for p in caches._CKPT_DIRS
+             if os.path.basename(p).startswith("eps_pairs_")]
+    assert len(ckpts) >= 1
+    ckpt = ckpts[0]
     assert os.path.exists(os.path.join(ckpt, "_SUCCESS"))
-    geocluster._PAIRS_CACHE.clear()          # simulate process restart
+    osmlint.clear_caches()          # simulate process restart: memory only
     b = geocluster.mined_eps_pairs(d).to_pandas() \
         .sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
     pd.testing.assert_frame_equal(a, b)
-    import osmlint
     osmlint.clear_caches(purge_disk=True)
     assert not os.path.exists(ckpt)
     # and a cold mine rebuilds the identical set

@@ -41,6 +41,44 @@ def test_kill_and_resume(ray_session, synth_small, tmp_path):
     assert all(v["flags"] > 0 and v["wall_s"] >= 0 for v in manifest.values())
 
 
+def test_resume_replaces_stale_partitions(ray_session, synth_small, tmp_path):
+    """The manifest is the authority on lineage output.  On resume, a
+    partition it lacks is rewritten even when a sealed dir of that name
+    exists (an out dir reused over regenerated input, or a crash between
+    publish and the manifest save), and the temp dir a hard-killed writer
+    left beside a partition is removed.  Readers see exactly the
+    manifest's partitions."""
+    out = str(tmp_path / "flags_out")
+    with pytest.raises(RuntimeError, match="injected failure"):
+        lineage.run_resumable(synth_small, out, fail_after=1)
+    slugs = lineage.partitions(synth_small)
+    rows = pq.read_table(os.path.join(out, f"part={slugs[0]}"))
+    # a sealed partition of earlier input, missing from the manifest
+    stale = os.path.join(out, f"part={slugs[1]}")
+    os.makedirs(stale)
+    pq.write_table(rows, os.path.join(stale, "part-old.parquet"))
+    open(os.path.join(stale, "_SUCCESS"), "w").close()
+    # a SIGKILLed writer's temp dir: no finally of its own removed it
+    torn = os.path.join(out, f"part={slugs[2]}.tmp.1.dead")
+    os.makedirs(torn)
+    pq.write_table(rows, os.path.join(torn, "part-0.parquet"))
+
+    manifest = lineage.run_resumable(synth_small, out)
+    assert not [d for d in os.listdir(out) if ".tmp." in d]
+    assert "part-old.parquet" not in os.listdir(stale)
+    dirs = lineage.partition_dirs(out)
+    assert dirs == sorted(os.path.join(out, f"part={s}") for s in slugs)
+    got = pd.concat([pq.read_table(d).to_pandas() for d in dirs],
+                    ignore_index=True)
+    assert len(got) == sum(v["flags"] for v in manifest.values())
+    exp = pipeline.flags_dataset(synth_small).to_pandas()
+    key = ["map_name", "doc_id", "check_name"]
+    pd.testing.assert_frame_equal(
+        got.sort_values(key).reset_index(drop=True)[sorted(got.columns)],
+        exp.sort_values(key).reset_index(drop=True)[sorted(exp.columns)],
+        check_dtype=False)
+
+
 def test_report_render(ray_session, synth_small, tmp_path):
     p = str(tmp_path / "report.html")
     report.write_report(synth_small, p)

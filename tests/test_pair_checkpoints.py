@@ -5,7 +5,11 @@ pair sets to content-fingerprinted parquet, so a second sweep over
 unchanged input — including across ``clear_caches()`` — skips the bucket
 mine and verify join entirely and reads the pairs back, skip counters
 included.  ``clear_caches(purge_disk=True)`` deletes them for genuinely
-cold runs."""
+cold runs.
+
+The same file pins the one atomic publish (``caches.publish``) that every
+on-disk artifact goes through: checkpoints, lineage partitions and synth
+inputs."""
 
 import glob
 import os
@@ -104,45 +108,203 @@ def test_empty_pair_set_checkpoints(tmp_path, monkeypatch, ray_session):
     caches.clear_caches(purge_disk=True)
 
 
-def test_losing_rename_is_cache_hit(tmp_path, monkeypatch, ray_session):
-    """ADVICE r4: the atomic publish — when a concurrent writer seals the
-    SAME content-fingerprinted checkpoint between our existence check and
-    our rename, the losing rename must behave as a cache hit: no temp
-    litter, the winner's sealed dir untouched, and a later cold read
-    serves the winner without rebuilding."""
-    import hashlib
-    import json
+def _hook(mp, mod, name, during):
+    """Run ``during()`` each time ``mod.name`` is called on the driver."""
+    real = getattr(mod, name)
 
+    def wrapped(*a, **k):
+        during()
+        return real(*a, **k)
+    mp.setattr(mod, name, wrapped)
+
+
+def _sorted(df: pd.DataFrame) -> pd.DataFrame:
+    return df.sort_values(list(df.columns)).reset_index(drop=True)
+
+
+def _run_dataset(env, during):
     import ray.data as rd
 
-    monkeypatch.setenv("OSMLINT_CKPT_DIR", str(tmp_path))
-    caches.clear_caches()
-    key = ("race-input-fp",)
-    full_key = ("race", caches._DS_CKPT_VERSION) + key
-    out = os.path.join(
-        caches.ckpt_root(),
-        "race_" + hashlib.md5(repr(full_key).encode()).hexdigest())
-
     def build():
-        # simulate the concurrent winner sealing the same content while
-        # our build is still running (same key => same content, by the
-        # content-fingerprint contract)
-        os.makedirs(os.path.join(out, "data"))
-        pq.write_table(pa.table({"x": [1, 2]}),
-                       os.path.join(out, "data", "part-0.parquet"))
-        with open(os.path.join(out, "_META.json"), "w") as f:
-            json.dump({"empty": False, "metrics": None}, f)
-        open(os.path.join(out, "_SUCCESS"), "w").close()
+        during()
         return rd.from_arrow(pa.table({"x": [1, 2]}))
+    ds = caches.dataset_checkpoint("race", ("race-input-fp",), build)
+    return pd.DataFrame({"x": sorted(r["x"] for r in ds.take_all())})
 
-    ds = caches.dataset_checkpoint("race", key, build)
-    assert sorted(r["x"] for r in ds.take_all()) == [1, 2]
-    # loser's temp dir is gone; the winner's seal is intact
-    assert not [p for p in os.listdir(caches.ckpt_root()) if ".tmp." in p]
+
+def _run_eps(env, during):
+    from osmlint import geocluster
+    with pytest.MonkeyPatch.context() as mp:
+        _hook(mp, geocluster, "named_ctv_deduped", during)
+        return _sorted(geocluster.mined_eps_pairs(env["synth"]).to_pandas())
+
+
+def _run_shingles(env, during):
+    with pytest.MonkeyPatch.context() as mp:
+        _hook(mp, textops, "read_docs", during)
+        return _sorted(pq.read_table(textops.shingle_checkpoint(SF))
+                       .to_pandas())
+
+
+def _run_dupspan(env, during):
+    with pytest.MonkeyPatch.context() as mp:
+        _hook(mp, textops, "read_docs", during)
+        return _sorted(pq.read_table(textops.dupspan_checkpoint(SF))
+                       .to_pandas())
+
+
+def _run_lineage(env, during):
+    from osmlint import lineage, pipeline
+    with pytest.MonkeyPatch.context() as mp:
+        _hook(mp, pipeline, "collision_keys_ref", during)
+        with pytest.raises(RuntimeError, match="injected failure"):
+            lineage.run_resumable(env["synth"], env["lineage"], fail_after=1)
+    part = os.path.join(env["lineage"],
+                        f"part={lineage.partitions(env['synth'])[0]}")
+    return _sorted(pq.read_table(part).to_pandas())
+
+
+#: every publisher: (checkpoint slug or None for lineage, runner).  Each
+#: runner calls ``during()`` from inside its write, before the publish.
+CALLERS = {
+    "dataset_checkpoint": ("race", _run_dataset),
+    "eps_pairs": ("eps_pairs", _run_eps),
+    "shingles": ("shingles", _run_shingles),
+    "dupspan": ("dupspan", _run_dupspan),
+    "lineage": (None, _run_lineage),
+}
+
+
+def _listing(d) -> list:
+    return sorted((os.path.relpath(os.path.join(r, f), d),
+                   os.path.getsize(os.path.join(r, f)))
+                  for r, _, fs in os.walk(d) for f in fs)
+
+
+@pytest.mark.parametrize("caller", list(CALLERS))
+def test_losing_rename_is_cache_hit(caller, tmp_path, monkeypatch,
+                                    ray_session, synth_small):
+    """Every on-disk artifact goes through one atomic publish.  When a
+    concurrent writer seals the same output while our write runs, our
+    rename loses and counts as a hit: the winner's sealed dir is left
+    exactly as it was (no fragments of two writers mixed) and no temp
+    dir litters its parent.  An unsealed dir left by a crashed writer is
+    replaced."""
+    import shutil
+
+    monkeypatch.setenv("OSMLINT_CKPT_DIR", str(tmp_path / "ckpt"))
+    caches.clear_caches()
+    env = {"synth": synth_small, "lineage": str(tmp_path / "lineage")}
+    slug, run = CALLERS[caller]
+
+    def reset():
+        if slug is None:
+            shutil.rmtree(env["lineage"])
+        else:
+            caches.clear_caches(purge_disk=True)
+
+    want = run(env, lambda: None)
+    if slug is None:
+        from osmlint import lineage
+        out = os.path.join(env["lineage"],
+                           f"part={lineage.partitions(synth_small)[0]}")
+    else:
+        [name] = [p for p in os.listdir(caches.ckpt_root())
+                  if p.startswith(slug + "_")]
+        out = os.path.join(caches.ckpt_root(), name)
     assert os.path.exists(os.path.join(out, "_SUCCESS"))
+    winner = str(tmp_path / "winner")
+    shutil.copytree(out, winner)
+    open(os.path.join(winner, "_WINNER"), "w").close()
 
-    caches.clear_caches()          # drop in-memory handles, keep disk
-    def boom():
-        raise AssertionError("sealed checkpoint must not rebuild")
-    ds2 = caches.dataset_checkpoint("race", key, boom)
-    assert sorted(r["x"] for r in ds2.take_all()) == [1, 2]
+    # (a) the concurrent winner seals `out` while our write runs
+    reset()
+    assert not os.path.exists(out)
+    fired = []
+
+    def seal_winner():
+        if not fired:
+            fired.append(True)
+            shutil.copytree(winner, out)
+    got = run(env, seal_winner)
+    assert fired
+    assert _listing(out) == _listing(winner)
+    assert not [p for p in os.listdir(os.path.dirname(out)) if ".tmp." in p]
+    pd.testing.assert_frame_equal(got, want)
+
+    # (b) a crashed writer's unsealed dir is replaced
+    reset()
+    os.makedirs(out)
+    with open(os.path.join(out, "part-crashed.parquet"), "wb") as f:
+        f.write(b"torn write")
+    got = run(env, lambda: None)
+    names = {p for p, _ in _listing(out)}
+    assert "_SUCCESS" in names and "part-crashed.parquet" not in names
+    assert not [p for p in os.listdir(os.path.dirname(out)) if ".tmp." in p]
+    pd.testing.assert_frame_equal(got, want)
+    caches.clear_caches(purge_disk=True)
+
+
+def test_purge_disk_spares_lineage_and_synth(tmp_path, monkeypatch,
+                                            ray_session):
+    """``clear_caches(purge_disk=True)`` deletes the keyed checkpoints —
+    eps pairs, shingles, dupspan postings, verified pair sets — and never
+    lineage output or synth inputs, even when they live under the same
+    checkpoint root."""
+    from osmlint import geocluster, lineage, synth
+
+    root = tmp_path / "ckpt"
+    monkeypatch.setenv("OSMLINT_CKPT_DIR", str(root))
+    caches.clear_caches()
+    d = synth.generate(0.001, base=str(root / "synth"))
+    geocluster.mined_eps_pairs(d)
+    textops.shingle_checkpoint(SF)
+    textops.dupspan_checkpoint(SF)
+    textops.minhash_dup_pairs(SF)
+    out = str(root / "lineage")
+    with pytest.raises(RuntimeError, match="injected failure"):
+        lineage.run_resumable(d, out, fail_after=1)
+    part = os.path.join(out, f"part={lineage.partitions(d)[0]}")
+    slugs = ("eps_pairs_", "shingles_", "dupspan_", "minhash_pairs_")
+    for s in slugs:
+        [name] = [p for p in os.listdir(root) if p.startswith(s)]
+        assert os.path.exists(os.path.join(root, name, "_SUCCESS"))
+    synth_files = _listing(d)
+    part_files = _listing(part)
+
+    caches.clear_caches(purge_disk=True)
+    assert not [p for p in os.listdir(root) if p.startswith(slugs)]
+    assert _listing(d) == synth_files and "_SUCCESS" in dict(synth_files)
+    assert _listing(part) == part_files and "_SUCCESS" in dict(part_files)
+    assert lineage.load_manifest(out)
+
+
+def test_synth_replaces_killed_writer_litter(tmp_path):
+    """Synth inputs have one writer: generating them removes the temp
+    dir a hard-killed earlier generate left beside the output, and
+    ``force`` replaces a sealed output."""
+    from osmlint import synth
+
+    base = str(tmp_path / "synth")
+    out = synth.synth_dir(0.001, base)
+    torn = out + ".tmp.1.dead"
+    os.makedirs(os.path.join(torn, "docs"))
+    assert synth.generate(0.001, base=base) == out
+    assert caches.sealed(out)
+    assert not [p for p in os.listdir(base) if ".tmp." in p]
+    files = _listing(out)
+    open(os.path.join(out, "stale"), "w").close()
+    synth.generate(0.001, base=base, force=True)
+    assert _listing(out) == files
+
+
+def test_one_disk_purger():
+    """Tripwire: every on-disk cache is a ``caches.checkpoint``, so with
+    every osmlint module imported exactly one purger is registered."""
+    import importlib
+    import pkgutil
+
+    import osmlint
+    for mi in pkgutil.iter_modules(osmlint.__path__):
+        importlib.import_module(f"osmlint.{mi.name}")
+    assert len(caches._PURGERS) == 1

@@ -11,7 +11,7 @@ from osmlint import config, oracle, pipeline, spans
 
 @pytest.fixture(scope="module")
 def flags_df(ray_session, synth_small):
-    ds = pipeline.flags_dataset(synth_small, concurrency=1, batch_size=2048)
+    ds = pipeline.flags_dataset(synth_small)
     return ds.to_pandas()
 
 
@@ -185,3 +185,36 @@ def test_read_documents_lance_gate(tmp_path):
     if not has_lance:
         with _pytest.raises(NotImplementedError, match="lance"):
             pl.read_documents(str(tmp_path))
+
+
+def test_worker_cache_keys_frames_by_identity(synth_small):
+    """In-process stage calls pass lookup frames, not ObjectRefs.  Two
+    wiki_ref frames longer than pandas' 60-row repr that differ only in
+    a middle row print identically, so a cache keyed by ``str(ref)``
+    would serve the first frame's FlagStage for the second."""
+    d = synth_small
+    docs = pq.read_table(d + "/docs/map=serbia_pbf",
+                         columns=["doc_id", "spans"])
+    batch = pipeline.PipAssign(pd.read_parquet(d + "/countries.parquet"),
+                               pd.read_parquet(d + "/tiles.parquet"))(
+        pipeline.decode_and_index(docs))
+    wiki = pd.read_parquet(d + "/wiki_ref.parquet")
+    wd = pd.read_parquet(d + "/wikidata_ref.parquet")
+    flat = batch.to_pandas()
+    wp = flat["wikipedia"].dropna()
+    used = set(wp[wp.str.startswith("sr:")].str.slice(3))
+    # a middle row (outside the repr's head and tail) whose title a doc
+    # links to: marking it missing changes that doc's wikipedia flag
+    mid = wiki.iloc[10:-10]
+    row = mid.index[mid["title"].isin(used) & mid["exists"]][0]
+    other = wiki.copy()
+    other.loc[row, "exists"] = False
+    assert len(wiki) > 60 and str(wiki) == str(other)
+
+    want_a = pipeline.FlagStage(wiki, wd)(batch).to_pandas()
+    want_b = pipeline.FlagStage(other, wd)(batch).to_pandas()
+    assert not want_a.equals(want_b)
+    got_a = pipeline.flag_batch(batch, wiki, wd).to_pandas()
+    got_b = pipeline.flag_batch(batch, other, wd).to_pandas()
+    pd.testing.assert_frame_equal(got_a, want_a)
+    pd.testing.assert_frame_equal(got_b, want_b)
