@@ -34,9 +34,11 @@ NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
 def _init_ray(num_cpus: int):
     import logging
     import ray
+
+    import osmlint
     if not ray.is_initialized():
         ray.init(address="local", num_cpus=num_cpus, include_dashboard=False,
-                 logging_level="ERROR")
+                 logging_level="ERROR", runtime_env=osmlint.runtime_env())
 
     # Ray's sort-based groupby emits zero-column RefBundles for EMPTY
     # sort partitions, and the streaming executor warns on the schema

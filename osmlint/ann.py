@@ -26,6 +26,7 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
+from . import widths
 from .metrics import split_cap_sentinels
 
 
@@ -46,7 +47,7 @@ def read_embeddings(sf_dir: str, *, coalesce: bool = False) -> rd.Dataset:
     path = os.path.join(sf_dir, "embeddings.parquet")
     kw = {}
     if coalesce:
-        kw["override_num_blocks"] = max(1, os.path.getsize(path) >> 27)
+        kw["override_num_blocks"] = widths.byte_blocks(path)
     return rd.read_parquet(path, columns=["vec_id", "embedding"], **kw)
 
 
@@ -182,7 +183,6 @@ def _n_bits_for(n_rows: int) -> int:
 
 
 def cosine_pairs_lsh(sf_dir: str, tau: float = 0.8, dim: int = 64,
-                     num_partitions: int = 4,
                      max_bucket: int = MAX_BUCKET) -> pd.DataFrame:
     """Scale path for near-duplicate pair mining: random-hyperplane LSH.
 
@@ -229,16 +229,15 @@ def cosine_pairs_lsh(sf_dir: str, tau: float = 0.8, dim: int = 64,
                   + np.uint64(t)).astype(np.int64)
             out_t.append(gk)
             out_id.append(np.repeat(ids, n_bits + 1))
-        from .textops import _meta_bucket
         gk_all = np.concatenate(out_t)
         return pa.table({
             "gk": pa.array(gk_all),
             "vec_id": pa.array(np.concatenate(out_id)),
-            "mb": pa.array(_meta_bucket(gk_all))})
+            "mb": pa.array(widths.bucket_of(gk_all))})
 
     def mine(g: pd.DataFrame) -> pa.Table:
         # all-pairs per (table, sig) bucket inside one META-bucket (the
-        # textops._REDUCE_BUCKETS rule); shared miner, cosine column names
+        # widths.REDUCE_BUCKETS rule); shared miner, cosine column names
         from .textops import _mine_bucket_pairs
         return _mine_bucket_pairs(g["gk"].to_numpy(np.int64),
                                   g["vec_id"].to_numpy(np.int64),
@@ -268,9 +267,6 @@ def cosine_pairs_lsh(sf_dir: str, tau: float = 0.8, dim: int = 64,
     if n_cand == 0:
         return pd.DataFrame({"vec_a": pd.Series(dtype=np.int64),
                              "vec_b": pd.Series(dtype=np.int64)})
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    num_partitions = int(np.clip(n_cand // 50_000 + 1, 1,
-                                 max(1, min(cpus, n_cand // 256))))
 
     def pack(batch: pa.Table) -> pa.Table:
         # acero (the join kernel) rejects list<float> non-key payloads:
@@ -316,6 +312,8 @@ def cosine_pairs_lsh(sf_dir: str, tau: float = 0.8, dim: int = 64,
         return df.sort_values(["vec_a", "vec_b"]).reset_index(drop=True)
 
     emb = read_embeddings(sf_dir).map_batches(pack, batch_format="pyarrow")
+    # ~50k pairs per partition: each pair drags both blobs through the join
+    num_partitions = widths.join_partitions(n_cand, 50_000)
     joined = cand.join(emb, "inner", num_partitions,
                        on=("vec_a",), right_on=("vec_id",))
     joined = joined.join(emb, "inner", num_partitions,
@@ -694,8 +692,6 @@ def knn_graph_ivf(sf_dir: str, k: int = 5, n_lists: int = IVF_K,
     (nprobe == n_lists, every list scanned) is exact BY CONSTRUCTION and
     carries the hard ``knn_graph`` SQL oracle, same pattern as
     ``ann_topk_ivf_fullprobe``."""
-    from .textops import _meta_bucket
-
     sample_df = read_embeddings(sf_dir).limit(IVF_SAMPLE).to_pandas()
     s_mat = np.stack(sample_df["embedding"].to_numpy()).astype(np.float64)
     cent = _kmeans(_normalize(s_mat), n_lists, IVF_ITERS)
@@ -745,7 +741,7 @@ def knn_graph_ivf(sf_dir: str, k: int = 5, n_lists: int = IVF_K,
 
     def bucketize(batch: pa.Table) -> pa.Table:
         v = batch["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return batch.append_column("mb", pa.array(_meta_bucket(v),
+        return batch.append_column("mb", pa.array(widths.bucket_of(v),
                                                   type=pa.int64()))
 
     def reduce_topk(g: pd.DataFrame) -> pd.DataFrame:
@@ -1061,17 +1057,14 @@ def source_embedding_norms(sf_dir: str) -> pd.DataFrame:
                                                 batch_format="pyarrow")
     docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
                            columns=["doc_id", "source"])
-    np_ = max(1, min(16, n_vecs // 200_000 + 1))
-    j = norms.join(docs, "inner", np_, on=("vec_id",),
-                   right_on=("doc_id",))
+    j = norms.join(docs, "inner", widths.join_partitions(n_vecs, 200_000),
+                   on=("vec_id",), right_on=("doc_id",))
 
     def bucketize(b: pa.Table) -> pa.Table:
         s = b["source"].to_pandas().to_numpy(dtype=object)
-        mb = (pd.util.hash_array(s)
-              % np.uint64(256)).astype(np.int64)
         return pa.table({"source": b["source"].cast(pa.string()),
                          "nrm": b["nrm"].cast(pa.float64()),
-                         "_mb": pa.array(mb)})
+                         "_mb": pa.array(widths.bucket_of(s))})
 
     def combine(g: pd.DataFrame) -> pa.Table:
         d = g.groupby("source", sort=False)["nrm"] \

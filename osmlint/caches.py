@@ -52,9 +52,34 @@ def sealed(out: str) -> bool:
     return os.path.exists(os.path.join(out, "_SUCCESS"))
 
 
+def _pid_alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:         # exists, owned by another user
+        pass
+    return True
+
+
+def _sweep_dead_writers(out: str, host: str) -> None:
+    """Remove the ``out.tmp.<host>.<pid>.<uuid>`` dirs of writers on this
+    host whose pid is gone.  The name is parsed from the right, because a
+    hostname may contain dots; other hosts' and live pids' dirs stay."""
+    import glob
+    import shutil
+    prefix = out + ".tmp."
+    for tmp in glob.glob(glob.escape(prefix) + "*"):
+        parts = tmp[len(prefix):].rsplit(".", 2)
+        if len(parts) != 3 or parts[0] != host or not parts[1].isdigit():
+            continue
+        if not _pid_alive(int(parts[1])):
+            shutil.rmtree(tmp, ignore_errors=True)
+
+
 def publish(out: str, write, *, replace: bool = False) -> str:
     """Atomically publish the directory ``out``: ``write(tmp)`` fills a
-    private ``out.tmp.<pid>.<uuid>`` dir, which is sealed with
+    private ``out.tmp.<host>.<pid>.<uuid>`` dir, which is sealed with
     ``_SUCCESS`` and ``os.rename``d into place; returns ``out``.
 
     ``out`` may live on a shared filesystem that several processes write
@@ -62,20 +87,27 @@ def publish(out: str, write, *, replace: bool = False) -> str:
     hit: the sealed dir is left untouched (same path => same content, by
     the callers' keying) and our temp dir is removed, so two writers'
     fragments never mix.  An unsealed ``out`` is a crashed writer's
-    leftover and is replaced.
+    leftover and is replaced.  Before writing, the temp dirs that
+    hard-killed (SIGKILL/OOM) writers on this host left beside ``out`` —
+    which no ``finally`` of theirs could remove — are deleted; a temp dir
+    of a live pid or of another host may be a concurrent writer and is
+    left alone.
 
     ``replace=True`` is for an ``out`` with one writer whose caller
     knows any existing copy is stale (a lineage partition missing from
     the manifest, synth inputs being regenerated): before writing, it
-    removes ``out`` and the temp dirs that hard-killed earlier writers
-    left beside it, which no ``finally`` of theirs could remove."""
+    removes ``out`` and every temp dir beside it."""
     import glob
     import shutil
+    import socket
     import uuid
+    host = socket.gethostname()
     if replace:
         for stale in glob.glob(glob.escape(out) + ".tmp.*") + [out]:
             shutil.rmtree(stale, ignore_errors=True)
-    tmp = f"{out}.tmp.{os.getpid()}.{uuid.uuid4().hex}"
+    else:
+        _sweep_dead_writers(out, host)
+    tmp = f"{out}.tmp.{host}.{os.getpid()}.{uuid.uuid4().hex}"
     os.makedirs(tmp)
     try:
         write(tmp)

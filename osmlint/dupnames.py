@@ -23,7 +23,7 @@ Ray-Data-idiomatic shape (no all-pairs shuffle):
 
 Scale note: replication factor is a constant 9; group size is bounded by
 cell area × name-bucket fan-out, not by global skew.  For 100 TB inputs
-raise ``res`` (smaller cells) and ``n_buckets`` together.
+raise ``res`` (smaller cells) and ``widths.NAME_BUCKETS`` together.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ import pandas as pd
 import pyarrow as pa
 import ray.data as rd
 
-from . import caches, geo
-from .pipeline import decode_and_index, read_documents, shuffle_blocks, to_arrow
+from . import caches, geo, widths
+from .pipeline import decode_and_index, read_documents, to_arrow
 
 #: process-lifetime cache of the materialized named-CTV projection —
 #: shared by knn_dup_names and geocluster.geo_clusters, which the driver
@@ -44,21 +44,14 @@ _NAMED_CACHE: dict = caches.register({})
 
 DEFAULT_RES = 12          # 2^12 grid: ~4.9 km cell height > radius 2 km
 DEFAULT_RADIUS_KM = 2.0
-N_BUCKETS = 16
 
 NAMED_SCHEMA = pa.schema([("doc_id", pa.string()), ("seq", pa.int64()),
                           ("name", pa.string()), ("lat", pa.float64()),
                           ("lon", pa.float64()), ("_b", pa.int64())])
 
 
-def _stable_bucket(names: pd.Series, n_buckets: int) -> np.ndarray:
-    """Deterministic (unsalted-hash) name bucket, stable across processes."""
-    return (pd.util.hash_array(names.to_numpy(dtype=object))
-            % np.uint64(n_buckets)).astype(np.int64)
-
-
-def replicate_to_cells(batch: pa.Table, *, res: int, group_res: int,
-                       n_buckets: int) -> pa.Table:
+def replicate_to_cells(batch: pa.Table, *, res: int,
+                       group_res: int) -> pa.Table:
     """Emit each doc into its home cell + ring-1 neighbors (anchor flag on
     the home copy).  ``gcell`` is the coarse ancestor cell at ``group_res``
     — the actual shuffle key, so groups stay few and fat (the per-group
@@ -86,7 +79,8 @@ def replicate_to_cells(batch: pa.Table, *, res: int, group_res: int,
         "name": df["name"].to_numpy()[rows],
         "lat": lat[rows], "lon": lon[rows],
     })
-    out["bucket"] = _stable_bucket(out["name"], n_buckets)
+    out["bucket"] = widths.bucket_of(out["name"].to_numpy(dtype=object),
+                                     widths.NAME_BUCKETS)
     return to_arrow(out)
 
 
@@ -157,8 +151,8 @@ def named_ctv_deduped(data_dir: str, *,
         keep = (df["map_slug"] == map_slug) & df["place"].isin(
             ("city", "town", "village")) & df["name"].notna()
         out = df.loc[keep, ["doc_id", "seq", "name", "lat", "lon"]]
-        out["_b"] = (pd.util.hash_array(out["doc_id"].to_numpy(dtype=object))
-                     % np.uint64(64)).astype(np.int64)
+        out["_b"] = widths.bucket_of(out["doc_id"].to_numpy(dtype=object),
+                                     widths.KEY_BUCKETS)
         return to_arrow(out, NAMED_SCHEMA)
 
     ds = ds.map_batches(named_ctv, batch_format="pyarrow")
@@ -169,7 +163,7 @@ def named_ctv_deduped(data_dir: str, *,
         g = g.drop_duplicates("doc_id", keep="last")
         return to_arrow(g, NAMED_SCHEMA)
 
-    out = ds.repartition(shuffle_blocks()).groupby("_b").map_groups(
+    out = ds.repartition(widths.shuffle_blocks()).groupby("_b").map_groups(
         dedup_group, batch_format="pandas").materialize()
     _NAMED_CACHE[key] = out
     return out
@@ -179,7 +173,6 @@ def dup_name_pairs(data_dir: str, *, map_slug: str = "serbia_pbf",
                    radius_km: float = DEFAULT_RADIUS_KM,
                    res: int = DEFAULT_RES,
                    group_res: int = 8,
-                   n_buckets: int = N_BUCKETS,
                    max_name_freq: int = MAX_NAME_FREQ) -> rd.Dataset:
     deduped = named_ctv_deduped(data_dir, map_slug=map_slug)
 
@@ -192,7 +185,8 @@ def dup_name_pairs(data_dir: str, *, map_slug: str = "serbia_pbf",
 
     def name_partial(df: pd.DataFrame) -> pa.Table:
         c = df.groupby("name", sort=False).size().reset_index(name="c")
-        c["_nb"] = _stable_bucket(c["name"], 64)
+        c["_nb"] = widths.bucket_of(c["name"].to_numpy(dtype=object),
+                                    widths.KEY_BUCKETS)
         return to_arrow(c, freq_schema)
 
     def hot_in_bucket(g: pd.DataFrame) -> pa.Table:
@@ -201,7 +195,7 @@ def dup_name_pairs(data_dir: str, *, map_slug: str = "serbia_pbf",
                         hot_schema)
 
     hot = set(deduped.map_batches(name_partial, batch_format="pandas")
-              .repartition(shuffle_blocks()).groupby("_nb")
+              .repartition(widths.shuffle_blocks()).groupby("_nb")
               .map_groups(hot_in_bucket, batch_format="pandas")
               .to_pandas()["name"])
 
@@ -213,8 +207,7 @@ def dup_name_pairs(data_dir: str, *, map_slug: str = "serbia_pbf",
     ds = deduped.map_batches(drop_hot, batch_format="pandas")
 
     ds = ds.map_batches(replicate_to_cells, batch_format="pyarrow",
-                        fn_kwargs={"res": res, "group_res": group_res,
-                                   "n_buckets": n_buckets})
+                        fn_kwargs={"res": res, "group_res": group_res})
     return ds.groupby(["gcell", "bucket"]).map_groups(
         pairs_in_group, batch_format="pandas",
         fn_kwargs={"radius_km": radius_km})

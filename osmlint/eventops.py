@@ -23,6 +23,7 @@ import pyarrow as pa
 import ray.data as rd
 from ray.data.aggregate import Sum
 
+from . import widths
 from .pipeline import to_arrow
 
 GAP_MIN = 30
@@ -31,6 +32,16 @@ GAP_MIN = 30
 def read_events(sf_dir: str, columns=None) -> rd.Dataset:
     return rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
                            columns=columns)
+
+
+def _with_user_bucket(batch: pa.Table) -> pa.Table:
+    """Append ``_b``, the user-hash bucket the per-user shuffles key on.
+    Strips the parquet-read pandas metadata: every block entering the
+    shuffle then shares one hashable schema (no schema-dedup warnings)."""
+    uid = batch["user_id"].to_numpy(zero_copy_only=False)
+    return batch.append_column(
+        "_b", pa.array(widths.bucket_of(uid, widths.KEY_BUCKETS),
+                       type=pa.int64())).replace_schema_metadata(None)
 
 
 def window_agg(sf_dir: str) -> pd.DataFrame:
@@ -57,21 +68,12 @@ def window_agg(sf_dir: str) -> pd.DataFrame:
     return df.sort_values(["window", "event_type"]).reset_index(drop=True)
 
 
-def sessionize(sf_dir: str, n_buckets: int = 64) -> pd.DataFrame:
+def sessionize(sf_dir: str) -> pd.DataFrame:
     """Sessions per user (gap > 30 min ⇒ new session).
 
     Output: user_id, session_id (1-based per user, ordered by start),
     n_events, start_ts, duration_us."""
     ds = read_events(sf_dir, columns=["ts", "user_id"])
-
-    def bucket(batch: pa.Table) -> pa.Table:
-        uid = batch["user_id"].to_numpy(zero_copy_only=False)
-        b = (uid.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-             >> np.uint64(40)).astype(np.int64) % n_buckets
-        # strip the parquet-read pandas metadata: every block entering the
-        # shuffle then shares one hashable schema (no schema-dedup warnings)
-        return batch.append_column("_b", pa.array(b, type=pa.int64())) \
-            .replace_schema_metadata(None)
 
     gap = np.timedelta64(GAP_MIN, "m")
 
@@ -97,7 +99,7 @@ def sessionize(sf_dir: str, n_buckets: int = 64) -> pd.DataFrame:
         out["session_id"] = out["session_id"].astype(np.int64)
         return to_arrow(out)
 
-    res = (ds.map_batches(bucket, batch_format="pyarrow")
+    res = (ds.map_batches(_with_user_bucket, batch_format="pyarrow")
            .groupby("_b").map_groups(sessions, batch_format="pandas"))
     df = res.to_pandas()
     return df.sort_values(["user_id", "session_id"]).reset_index(drop=True)
@@ -106,7 +108,7 @@ def sessionize(sf_dir: str, n_buckets: int = 64) -> pd.DataFrame:
 ASOF_SOURCES = ("view", "click")
 
 
-def asof_attribution(sf_dir: str, n_buckets: int = 64) -> pd.DataFrame:
+def asof_attribution(sf_dir: str) -> pd.DataFrame:
     """As-of join (the windowed/ordered custom operator Ray Data lacks):
     each purchase attributed to the user's most recent STRICTLY-prior
     view/click.  user-hash-bucket groupby colocates each user's events;
@@ -114,13 +116,6 @@ def asof_attribution(sf_dir: str, n_buckets: int = 64) -> pd.DataFrame:
     backward search — no per-event Python, no global sort."""
     ds = read_events(sf_dir, columns=["event_id", "ts", "user_id",
                                       "event_type"])
-
-    def bucket(batch: pa.Table) -> pa.Table:
-        uid = batch["user_id"].to_numpy(zero_copy_only=False)
-        b = (uid.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-             >> np.uint64(40)).astype(np.int64) % n_buckets
-        return batch.append_column("_b", pa.array(b, type=pa.int64())) \
-            .replace_schema_metadata(None)
 
     def join(g: pd.DataFrame) -> pa.Table:
         p = g[g["event_type"] == "purchase"].sort_values("ts", kind="stable")
@@ -141,7 +136,7 @@ def asof_attribution(sf_dir: str, n_buckets: int = 64) -> pd.DataFrame:
             ("ts", pa.timestamp("us")), ("src_event_id", pa.int64()),
             ("src_type", pa.string())]))
 
-    res = (ds.map_batches(bucket, batch_format="pyarrow")
+    res = (ds.map_batches(_with_user_bucket, batch_format="pyarrow")
            .groupby("_b").map_groups(join, batch_format="pandas"))
     df = res.to_pandas()
     if df.empty:
@@ -158,7 +153,7 @@ FUNNEL_STEP_B = "purchase"
 FUNNEL_WINDOW_DAYS = 7
 
 
-def funnel(sf_dir: str, n_buckets: int = 64,
+def funnel(sf_dir: str,
            window_days: int = FUNNEL_WINDOW_DAYS) -> pd.DataFrame:
     """Two-step conversion funnel: for every user with a ``signup``,
     count ``purchase`` events inside ``[first_signup, first_signup +
@@ -175,14 +170,9 @@ def funnel(sf_dir: str, n_buckets: int = 64,
 
     def bucket(batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
-        keep = pc.is_in(batch["event_type"],
-                        value_set=pa.array([FUNNEL_STEP_A, FUNNEL_STEP_B]))
-        batch = batch.filter(keep)
-        uid = batch["user_id"].to_numpy(zero_copy_only=False)
-        b = (uid.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-             >> np.uint64(40)).astype(np.int64) % n_buckets
-        return batch.append_column("_b", pa.array(b, type=pa.int64())) \
-            .replace_schema_metadata(None)
+        return _with_user_bucket(batch.filter(pc.is_in(
+            batch["event_type"],
+            value_set=pa.array([FUNNEL_STEP_A, FUNNEL_STEP_B]))))
 
     win = np.timedelta64(window_days, "D")
     out_schema = pa.schema([
@@ -231,7 +221,7 @@ RANGE_JOIN_SOURCES = ("view", "click")
 RANGE_GAP_MIN = 240
 
 
-def range_join(sf_dir: str, n_buckets: int = 64) -> pd.DataFrame:
+def range_join(sf_dir: str) -> pd.DataFrame:
     """Interval/range join (the second ordered custom operator Ray Data
     lacks natively, next to the as-of join): each ``purchase`` is joined
     to the user's BROWSE session — view/click events sessionized with the
@@ -251,13 +241,8 @@ def range_join(sf_dir: str, n_buckets: int = 64) -> pd.DataFrame:
 
     def bucket(batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
-        batch = batch.filter(pc.is_in(batch["event_type"],
-                                      value_set=pa.array(list(wanted))))
-        uid = batch["user_id"].to_numpy(zero_copy_only=False)
-        b = (uid.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-             >> np.uint64(40)).astype(np.int64) % n_buckets
-        return batch.append_column("_b", pa.array(b, type=pa.int64())) \
-            .replace_schema_metadata(None)
+        return _with_user_bucket(batch.filter(pc.is_in(
+            batch["event_type"], value_set=pa.array(list(wanted)))))
 
     out_schema = pa.schema([
         ("event_id", pa.int64()), ("user_id", pa.int64()),
@@ -320,7 +305,7 @@ def range_join(sf_dir: str, n_buckets: int = 64) -> pd.DataFrame:
     return df.sort_values("event_id").reset_index(drop=True)
 
 
-def retention(sf_dir: str, n_buckets: int = 64) -> pd.DataFrame:
+def retention(sf_dir: str) -> pd.DataFrame:
     """Cohort retention: users cohorted by FIRST-event day; for each
     (cohort_day, day_offset) count the distinct users active that many
     days later — the classic retention triangle.
@@ -331,13 +316,6 @@ def retention(sf_dir: str, n_buckets: int = 64) -> pd.DataFrame:
     global reduce is a small groupby (#days^2 upper bound, data-bounded
     in practice) — per-user rows never leave the bucket."""
     ds = read_events(sf_dir, columns=["ts", "user_id"])
-
-    def bucket(batch: pa.Table) -> pa.Table:
-        uid = batch["user_id"].to_numpy(zero_copy_only=False)
-        b = (uid.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-             >> np.uint64(40)).astype(np.int64) % n_buckets
-        return batch.append_column("_b", pa.array(b, type=pa.int64())) \
-            .replace_schema_metadata(None)
 
     def cohort(g: pd.DataFrame) -> pa.Table:
         day = g["ts"].to_numpy().astype("datetime64[D]")
@@ -355,7 +333,7 @@ def retention(sf_dir: str, n_buckets: int = 64) -> pd.DataFrame:
             "day_offset": pa.array(out["day_offset"].to_numpy(np.int64)),
             "n": pa.array(out["n"].to_numpy(np.int64))})
 
-    agg = (ds.map_batches(bucket, batch_format="pyarrow")
+    agg = (ds.map_batches(_with_user_bucket, batch_format="pyarrow")
            .groupby("_b").map_groups(cohort, batch_format="pandas")
            .groupby(["cohort_day", "day_offset"])
            .aggregate(Sum("n", alias_name="n_users")))
@@ -571,8 +549,7 @@ def props_extract(sf_dir: str) -> pd.DataFrame:
 HEAVY_TOP = 5
 
 
-def heavy_users(sf_dir: str, k: int = HEAVY_TOP,
-                n_buckets: int = 64) -> pd.DataFrame:
+def heavy_users(sf_dir: str, k: int = HEAVY_TOP) -> pd.DataFrame:
     """Exact top-``k`` users by event count per event type — the
     heavy-hitter report an events pipeline ships per activity class.
     Ranking is total: ties break to the lowest user_id.
@@ -582,8 +559,8 @@ def heavy_users(sf_dir: str, k: int = HEAVY_TOP,
     FINAL — the per-type top-k cut inside a bucket is therefore a valid
     candidate cut: the global top-k per type is a subset of the union
     of per-bucket top-ks); the final rank runs per event type over
-    <= n_buckets x k surviving rows.  Counts are integers end-to-end;
-    nothing user-cardinality-sized reaches the driver."""
+    <= ``widths.KEY_BUCKETS`` x k surviving rows.  Counts are integers
+    end-to-end; nothing user-cardinality-sized reaches the driver."""
     ds = read_events(sf_dir, columns=["user_id", "event_type"])
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -591,8 +568,7 @@ def heavy_users(sf_dir: str, k: int = HEAVY_TOP,
         g = df.groupby(["user_id", "event_type"], sort=False) \
             .size().reset_index(name="n")
         u = g["user_id"].to_numpy(np.int64)
-        g["_b"] = ((u.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15))
-                   >> np.uint64(40)).astype(np.int64) % n_buckets
+        g["_b"] = widths.bucket_of(u, widths.KEY_BUCKETS)
         return to_arrow(g)
 
     def bucket_top(g: pd.DataFrame) -> pa.Table:

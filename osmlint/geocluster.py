@@ -29,15 +29,15 @@ Ray-Data-idiomatic shape — no all-pairs, no driver loops:
    ``dupnames``: each point is emitted into its home cell (anchor) + 8
    neighbors at a resolution whose cell size exceeds ``eps_km``, so every
    qualifying pair shares the anchor's home cell; the shuffle key is the
-   FINE cell hashed into a bounded bucket count (the ``_REDUCE_BUCKETS``
-   rule — sparse cells would otherwise pay per-group overhead, and
-   hashing the fine cell rather than a coarse ancestor scatters dense
-   metros across all buckets), and each group runs one vectorized
-   chunked anchors x copies expansion on the fine cell + haversine
-   gate (``_eps_pairs_group``).  Work per group is bounded by
+   FINE cell hashed into ``widths.REDUCE_BUCKETS`` buckets (sparse
+   cells would otherwise pay per-group overhead, and hashing the fine
+   cell rather than a coarse ancestor scatters dense metros across all
+   buckets), and each group runs one vectorized chunked anchors x
+   copies expansion on the fine cell + haversine gate
+   (``_eps_pairs_group``).  Work per group is bounded by
    eps-density (the candidate volume itself), not by global skew;
 3. per-node eps-DEGREE via a bounded node-hash bucket reduce over pair
-   endpoints (the ``_REDUCE_BUCKETS`` rule — no node-cardinality
+   endpoints (the ``widths.REDUCE_BUCKETS`` rule — no node-cardinality
    ``aggregate()``);
 4. core flags on pairs: the core id set is broadcast (``ray.put`` once,
    searchsorted membership per batch) under ``BROADCAST_MAX`` nodes, and
@@ -67,7 +67,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
-from . import caches, geo, graph
+from . import caches, geo, graph, widths
 from .dupnames import named_ctv_deduped
 from .pipeline import to_arrow
 
@@ -137,7 +137,7 @@ def _replicate(batch: pa.Table, *, res: int, group_res: int) -> pa.Table:
     # signature (callers key caches on it) but no longer shapes the
     # shuffle.
     del group_res
-    gcell = _bucket_of(flat)
+    gcell = widths.bucket_of(flat)
     return pa.table({
         "gcell": pa.array(gcell), "cell": pa.array(flat),
         "anchor": pa.array(flat == home[rows]),
@@ -259,15 +259,6 @@ def mined_eps_pairs(data_dir: str, *, map_slug: str = "serbia_pbf",
         else rd.from_arrow(_MINE_SCHEMA.empty_table())
 
 
-_GOLD = np.uint64(0x9E3779B97F4A7C15)
-
-
-def _bucket_of(v: np.ndarray) -> np.ndarray:
-    from .textops import _REDUCE_BUCKETS
-    return (((v.astype(np.uint64) * _GOLD) >> np.uint64(40))
-            .astype(np.int64) % _REDUCE_BUCKETS)
-
-
 def _count_reduce(ds: rd.Dataset, key: str, out: str) -> rd.Dataset:
     """groupby(key).count() through bounded key-hash buckets, with a
     per-batch combiner: counts are summable, so each batch ships one
@@ -279,7 +270,7 @@ def _count_reduce(ds: rd.Dataset, key: str, out: str) -> rd.Dataset:
         un, cnt = np.unique(k, return_counts=True)
         return pa.table({key: pa.array(un),
                          out: pa.array(cnt.astype(np.int64)),
-                         "_mb": pa.array(_bucket_of(un))})
+                         "_mb": pa.array(widths.bucket_of(un))})
 
     def combine(g: pd.DataFrame) -> pa.Table:
         d = g.groupby(key, sort=False)[out].sum().reset_index()
@@ -429,7 +420,7 @@ def geo_clusters(data_dir: str, *, map_slug: str = "serbia_pbf",
             batch_format="pyarrow")
         # fan-out tracks the PAIR stream (the wide side of the join) and
         # the cluster width — n_core only bounded the build side
-        np_ = graph.join_fanout(n_pairs, rows_per_partition=1 << 16)
+        np_ = widths.join_partitions(n_pairs, 1 << 16)
         j1 = pairs.join(marked, "left_outer", np_,
                         on=("doc_a",), right_on=("node",)) \
             .map_batches(lambda b: pa.table(
@@ -480,7 +471,7 @@ def geo_clusters(data_dir: str, *, map_slug: str = "serbia_pbf",
                                                    dtype=bool))),
         batch_format="pyarrow")
     if mixed.count() > 0:
-        np2 = graph.join_fanout(mixed.count())
+        np2 = widths.join_partitions(mixed.count(), 128)
         j = mixed.join(labels, "inner", np2, on=("c",),
                        right_on=("node",))
 
@@ -498,7 +489,7 @@ def geo_clusters(data_dir: str, *, map_slug: str = "serbia_pbf",
             return pa.table({"x": b["x"].cast(pa.int64()),
                              "cluster_id": b["cluster_id"]
                              .cast(pa.int64()),
-                             "_mb": pa.array(_bucket_of(x))})
+                             "_mb": pa.array(widths.bucket_of(x))})
 
         border = j.map_batches(bucketize_x, batch_format="pyarrow") \
             .groupby("_mb").map_groups(min_label, batch_format="pandas")
@@ -509,7 +500,7 @@ def geo_clusters(data_dir: str, *, map_slug: str = "serbia_pbf",
     sizes = _count_reduce(members.map_batches(
         lambda b: pa.table({"cl": b["cluster_id"].cast(pa.int64())}),
         batch_format="pyarrow"), "cl", "n")
-    np3 = graph.join_fanout(members.count())
+    np3 = widths.join_partitions(members.count(), 128)
     out = members.join(sizes, "inner", np3, on=("cluster_id",),
                        right_on=("cl",))
 
@@ -597,13 +588,13 @@ def geo_cluster_stats(data_dir: str, *, map_slug: str = "serbia_pbf",
             "lon_min": d["lon_min"].to_numpy(np.float64),
             "lon_max": d["lon_max"].to_numpy(np.float64)})
         return out.sort_values("cluster_id").reset_index(drop=True)
-    np_ = graph.join_fanout(n_members, rows_per_partition=50_000)
+    np_ = widths.join_partitions(n_members, 50_000)
     j = members.map_batches(encode, batch_format="pyarrow") \
         .join(points, "inner", np_, on=("node",), right_on=("node",))
 
     def bucketize(b: pa.Table) -> pa.Table:
         c = b["cluster_id"].to_numpy(zero_copy_only=False)
-        return b.append_column("_mb", pa.array(_bucket_of(c)))
+        return b.append_column("_mb", pa.array(widths.bucket_of(c)))
 
     def combine(g: pd.DataFrame) -> pa.Table:
         d = g.groupby("cluster_id", sort=False).agg(
@@ -866,13 +857,13 @@ def geo_cluster_diameter(data_dir: str, *, map_slug: str = "serbia_pbf",
 
     points = named_ctv_deduped(data_dir, map_slug=map_slug) \
         .map_batches(_to_nodes, batch_format="pyarrow")
-    np_ = graph.join_fanout(members.count(), rows_per_partition=50_000)
+    np_ = widths.join_partitions(members.count(), 50_000)
     j = members.map_batches(encode, batch_format="pyarrow") \
         .join(points, "inner", np_, on=("node",), right_on=("node",))
 
     def bucketize(b: pa.Table) -> pa.Table:
         c = b["cluster_id"].to_numpy(zero_copy_only=False)
-        return b.append_column("_mb", pa.array(_bucket_of(c)))
+        return b.append_column("_mb", pa.array(widths.bucket_of(c)))
 
     out = j.map_batches(bucketize, batch_format="pyarrow") \
         .groupby("_mb").map_groups(_diam_group, batch_format="pandas") \
@@ -1092,7 +1083,7 @@ def nn_stats(data_dir: str, *, map_slug: str = "serbia_pbf",
 
     Shape: eps-pairs from the shared cache, both directions emitted as
     (node, micro-km int64); per-node min runs through the bounded
-    ``_REDUCE_BUCKETS`` node-hash reduce (never a node-cardinality
+    ``widths.REDUCE_BUCKETS`` node-hash reduce (never a node-cardinality
     aggregate), each bucket group emits ONE partial (cnt, sum, min,
     max) row, and the driver combines <= 256 partials.  All distributed
     sums are integers (micro-km), so summation order cannot matter;
@@ -1110,7 +1101,7 @@ def nn_stats(data_dir: str, *, map_slug: str = "serbia_pbf",
         dm = np.concatenate([micro, micro])
         return pa.table({"node": pa.array(node),
                          "dm": pa.array(dm),
-                         "_b": pa.array(_bucket_of(node))})
+                         "_b": pa.array(widths.bucket_of(node))})
 
     def group_min(g: pd.DataFrame) -> pa.Table:
         nn = g.groupby("node")["dm"].min()

@@ -43,37 +43,13 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import ray.data as rd
-#: bounded bucket count for node/label-cardinality reduces — Ray's
-#: groupby().aggregate() pays per-GROUP overhead (textops._REDUCE_BUCKETS
-#: rule), so min-label and size reduces hash nodes into buckets and
-#: combine with a C-level pandas groupby inside map_groups.  Shares the
-#: $OSMLINT_REDUCE_BUCKETS deployment tunable (the CC node stream is the
-#: largest reduce in the engine).
-def _cc_buckets() -> int:
-    from .textops import _REDUCE_BUCKETS
-    return _REDUCE_BUCKETS
 
+from . import widths
 
-_GOLD = np.uint64(0x9E3779B97F4A7C15)
-
-
-def join_fanout(n_rows: int, *, rows_per_partition: int = 128,
-                floor: int = 4) -> int:
-    """Cluster-derived hash-join fan-out: ~1 partition per CPU (floor 4,
-    the pre-round-5 constant) so a wide join isn't capped at a handful
-    of reduce tasks on a wide cluster, bounded by row volume
-    (``rows_per_partition`` minimum rows per partition) so tiny inputs
-    don't pay empty-partition overhead.  Only used for joins whose
-    downstream math is exact-integer / per-row (order-independent), so
-    partition count can never change results — this is purely a width
-    knob (the sf1 DBSCAN closure measured 165-185 s per propagation
-    round at the old fixed 4 partitions on 32 CPUs)."""
-    try:
-        import ray
-        cpus = int(ray.cluster_resources().get("CPU", 0))
-    except Exception:
-        cpus = 0
-    return max(1, min(max(floor, cpus), n_rows // rows_per_partition))
+# Node/label-cardinality reduces (min-label, cluster size, PageRank sums)
+# never use groupby().aggregate(), which pays per-GROUP overhead: they
+# hash nodes into ``widths.REDUCE_BUCKETS`` buckets and combine with a
+# C-level pandas groupby inside map_groups.
 
 
 def _min_label_reduce(ds: rd.Dataset) -> rd.Dataset:
@@ -90,11 +66,9 @@ def _min_label_reduce(ds: rd.Dataset) -> rd.Dataset:
         ns, ls = n[order], lb[order]
         starts = np.flatnonzero(np.r_[True, ns[1:] != ns[:-1]])
         un, mins = ns[starts], np.minimum.reduceat(ls, starts)
-        mb = ((un.astype(np.uint64) * _GOLD) >> np.uint64(40)) \
-            .astype(np.int64) % _cc_buckets()
         return pa.table({"node": pa.array(un),
                          "label": pa.array(mins),
-                         "_mb": pa.array(mb)})
+                         "_mb": pa.array(widths.bucket_of(un))})
 
     def combine(g: pd.DataFrame) -> pa.Table:
         d = g.groupby("node", sort=False)["label"].min().reset_index()
@@ -164,12 +138,11 @@ LAST_INFO: dict = {}
 
 
 def _distributed_components(edges: rd.Dataset, n_edges: int,
-                            max_rounds: int,
-                            num_partitions: int) -> rd.Dataset:
-    # partition-count scaling is small-scale perf tuning (fewer shuffle
-    # actors for tiny edge sets); empty partitions are safe — only an
-    # empty left DATASET breaks Ray's join, and n_edges > 0 here
-    num_partitions = max(1, min(num_partitions, (2 * n_edges) // 256))
+                            max_rounds: int) -> rd.Dataset:
+    # partitions scale with the both-directions edge volume (fewer
+    # shuffle actors for tiny edge sets); empty partitions are safe — only
+    # an empty left DATASET breaks Ray's join, and n_edges > 0 here
+    num_partitions = widths.join_partitions(2 * n_edges, 256)
     eboth = edges.map_batches(_both_directions,
                               batch_format="pyarrow").materialize()
     labels = _min_label_reduce(
@@ -208,7 +181,6 @@ _CLUSTER_SCHEMA = pa.schema([("doc_id", pa.int64()),
 
 
 def cluster_labels(edges: rd.Dataset, *, max_rounds: int = 50,
-                   num_partitions: int | None = None,
                    small_threshold: int = SMALL_EDGES,
                    as_dataset: bool = False):
     """Edges ``(doc_a, doc_b)`` -> ``(doc_id, cluster_id, cluster_size)``
@@ -234,46 +206,29 @@ def cluster_labels(edges: rd.Dataset, *, max_rounds: int = 50,
             df["doc_b"].to_numpy(np.int64)) \
             .sort_values("doc_id").reset_index(drop=True)
         return rd.from_pandas(out) if as_dataset else out
-    if num_partitions is None:
-        num_partitions = join_fanout(2 * n_edges)
-    labels = _distributed_components(edges, n_edges, max_rounds,
-                                     num_partitions)
-    # per-cluster size: one row per cluster through a tiny hash aggregate,
-    # joined back onto the labels (num_partitions scales with label
-    # volume so the label set never funnels through a single join task)
-    n_labels = labels.count()
+    labels = _distributed_components(edges, n_edges, max_rounds)
 
-    def size_bucketize(b: pa.Table) -> pa.Table:
-        # per-batch combiner: partial counts are summable, so each batch
-        # ships one (label, partial count) row per distinct label
-        lab = b["label"].to_numpy(zero_copy_only=False).astype(np.int64)
-        un, cnt = np.unique(lab, return_counts=True)
-        mb = ((un.astype(np.uint64) * _GOLD) >> np.uint64(40)) \
-            .astype(np.int64) % _cc_buckets()
-        return pa.table({"label": pa.array(un),
-                         "cluster_size": pa.array(cnt.astype(np.int64)),
-                         "_sb": pa.array(mb)})
+    # per-cluster size: bucket the (node, label) rows by label hash — every
+    # row of a label lands in one bucket, so the in-bucket count is final
+    # and joins its rows right there.  No hash join keyed on the clusters:
+    # with fewer distinct clusters than join partitions, a partition gets
+    # only zero-column empty blocks, which acero rejects.
+    def label_bucketize(b: pa.Table) -> pa.Table:
+        lab = b["label"].to_numpy(zero_copy_only=False)
+        return pa.table({"doc_id": b["node"].cast(pa.int64()),
+                         "cluster_id": b["label"].cast(pa.int64()),
+                         "_sb": pa.array(widths.bucket_of(lab))})
 
-    def size_combine(g: pd.DataFrame) -> pa.Table:
-        d = g.groupby("label", sort=False)["cluster_size"].sum() \
-            .reset_index()
-        return pa.table({"label": pa.array(d["label"].to_numpy(np.int64)),
-                         "cluster_size": pa.array(
-                             d["cluster_size"].to_numpy(np.int64))})
+    def with_size(g: pd.DataFrame) -> pa.Table:
+        size = g.groupby("cluster_id", sort=False)["doc_id"].transform("size")
+        return pa.table({
+            "doc_id": pa.array(g["doc_id"].to_numpy(np.int64)),
+            "cluster_id": pa.array(g["cluster_id"].to_numpy(np.int64)),
+            "cluster_size": pa.array(size.to_numpy(np.int64))},
+            schema=_CLUSTER_SCHEMA)
 
-    # label-cardinality reduce via buckets (every row of a label lands in
-    # one bucket, so the in-bucket count is final)
-    sizes = labels.map_batches(size_bucketize, batch_format="pyarrow") \
-        .groupby("_sb").map_groups(size_combine, batch_format="pandas")
-    out = labels.join(sizes, "inner",
-                      max(1, min(num_partitions, n_labels // 256)),
-                      on=("label",), right_on=("label",)) \
-        .map_batches(
-            lambda b: pa.table({
-                "doc_id": b["node"].cast(pa.int64()),
-                "cluster_id": b["label"].cast(pa.int64()),
-                "cluster_size": b["cluster_size"].cast(pa.int64())}),
-            batch_format="pyarrow")
+    out = labels.map_batches(label_bucketize, batch_format="pyarrow") \
+        .groupby("_sb").map_groups(with_size, batch_format="pandas")
     if as_dataset:
         return out
     df = out.to_pandas()
@@ -310,11 +265,10 @@ def _pr_local(src: np.ndarray, dst: np.ndarray, damping: float,
 def _sum_reduce(ds: rd.Dataset) -> rd.Dataset:
     """groupby(node).sum(val) via bounded node-hash buckets."""
     def bucketize(b: pa.Table) -> pa.Table:
-        n = b["node"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        mb = ((n * _GOLD) >> np.uint64(40)).astype(np.int64) % _cc_buckets()
+        n = b["node"].to_numpy(zero_copy_only=False)
         return pa.table({"node": b["node"].cast(pa.int64()),
                          "val": b["val"].cast(pa.float64()),
-                         "_mb": pa.array(mb)})
+                         "_mb": pa.array(widths.bucket_of(n))})
 
     def combine(g: pd.DataFrame) -> pa.Table:
         d = g.groupby("node", sort=False)["val"].sum().reset_index()
@@ -326,8 +280,9 @@ def _sum_reduce(ds: rd.Dataset) -> rd.Dataset:
 
 
 def _pr_distributed(edges: rd.Dataset, n_edges: int, damping: float,
-                    iters: int, num_partitions: int) -> rd.Dataset:
-    num_partitions = max(1, min(num_partitions, (n_edges // 256) + 1))
+                    iters: int) -> rd.Dataset:
+    # not widths.join_partitions: float rank sums depend on partitioning
+    num_partitions = max(1, min(4, (n_edges // 256) + 1))
 
     # out-degree per source via a bounded bucket count
     def src_rows(b: pa.Table) -> pa.Table:
@@ -382,7 +337,7 @@ def _pr_distributed(edges: rd.Dataset, n_edges: int, damping: float,
 
 
 def pagerank(edges: rd.Dataset, *, damping: float = PR_DAMPING,
-             iters: int = PR_ITERS, num_partitions: int = 4,
+             iters: int = PR_ITERS,
              small_threshold: int = SMALL_EDGES,
              as_dataset: bool = False):
     """Fixed-``iters`` PageRank (Page et al., 1999 power method) over a
@@ -414,8 +369,7 @@ def pagerank(edges: rd.Dataset, *, damping: float = PR_DAMPING,
                         df["dst"].to_numpy(np.int64), damping, iters) \
             .sort_values("node").reset_index(drop=True)
         return rd.from_pandas(out) if as_dataset else out
-    ranks = _pr_distributed(edges, n_edges, damping, iters,
-                            num_partitions)
+    ranks = _pr_distributed(edges, n_edges, damping, iters)
     if as_dataset:
         return ranks
     return ranks.to_pandas().sort_values("node").reset_index(drop=True)

@@ -26,6 +26,7 @@ import pandas as pd
 import pyarrow as pa
 import ray.data as rd
 
+from . import widths
 from .pipeline import decode_and_index, read_documents
 
 try:                                 # pragma: no cover - not in sandbox
@@ -172,19 +173,17 @@ def media_dedup(data_dir: str) -> rd.Dataset:
     partitions is the duplicate class this catches).
 
     Shape: (phash, doc_id) rows only — bytes never shuffle — reduced
-    through bounded phash-hash buckets (the textops._REDUCE_BUCKETS
+    through bounded phash-hash buckets (the widths.REDUCE_BUCKETS
     rule); keeper = lexicographic min doc_id per hash."""
     import numpy as np
     import pandas as pd
-
-    from .textops import _meta_bucket
 
     def keys(batch: pa.Table) -> pa.Table:
         t = media_feature_batch(batch)
         ph = t["phash"].to_numpy(zero_copy_only=False)
         return pa.table({"doc_id": t["doc_id"],
                          "phash": t["phash"],
-                         "mb": pa.array(_meta_bucket(ph),
+                         "mb": pa.array(widths.bucket_of(ph),
                                         type=pa.int64())})
 
     def combine(g: pd.DataFrame) -> pa.Table:

@@ -36,7 +36,8 @@ from ray.data.aggregate import Sum
 from . import caches
 from . import checks as checks_mod
 from . import config as config_mod
-from . import geo, schema, spans, synth
+from . import geo, schema, spans, synth, widths
+from .widths import read_blocks
 
 CELL_RES = 8  # quad-cell resolution for locality/grouping (≈0.17° cells)
 
@@ -73,19 +74,6 @@ def doc_partitions(data_dir: str) -> list[str]:
     docs = os.path.join(data_dir, "docs")
     return sorted(d.split("=", 1)[1] for d in os.listdir(docs)
                   if d.startswith("map="))
-
-
-def read_blocks() -> int:
-    """Read-task coalescing target: the hive-partitioned doc table has
-    thousands of small fragments, and one read task per fragment makes the
-    narrow passes SCHEDULING-bound (measured 20.2s -> 7.4s for the
-    collision pre-pass at 8 CPUs with ~2k fragments).  ~4 blocks per CPU
-    keeps the pipeline busy without per-fragment task overhead."""
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        cpus = 8
-    return max(16, cpus * 4)
 
 
 def read_documents(data_dir: str, *, coalesce: bool = True) -> rd.Dataset:
@@ -270,42 +258,6 @@ def _empty_flags() -> pd.DataFrame:
 # wide steps
 # ---------------------------------------------------------------------------
 
-N_BUCKETS_FLOOR = 64   # floor for the coarse shuffle fan-out
-SHUFFLE_BLOCKS = 16  # floor for the pre-shuffle coalesce target
-
-
-def n_buckets() -> int:
-    """Coarse shuffle fan-out for the id-hash bucket reduces: ~2 groups
-    per CPU so every reducer has work while per-group overhead stays
-    negligible, with a floor of 64.  Cluster-derived like
-    ``shuffle_blocks()`` — a fixed constant caps reduce parallelism on a
-    real multi-node deployment (the r3 VERDICT watch item).  Bucket count
-    only shapes the shuffle, never the results: every consumer reduces
-    within buckets and combines across them."""
-    try:
-        return max(N_BUCKETS_FLOOR,
-                   2 * int(ray.cluster_resources().get("CPU", 0)))
-    except Exception:
-        return N_BUCKETS_FLOOR
-
-
-def shuffle_blocks() -> int:
-    """Coalesce target before small keyed shuffles: a groupby over hundreds
-    of KB-sized read blocks is dominated by per-block task overhead
-    (measured 10.6s -> 0.4s at sf0.1), but the count must grow with the
-    cluster so reduce parallelism isn't capped on real deployments."""
-    try:
-        return max(SHUFFLE_BLOCKS, int(ray.cluster_resources().get("CPU", 0)))
-    except Exception:
-        return SHUFFLE_BLOCKS
-
-
-def _bucket_of(osm_id: np.ndarray, n_buckets: int) -> np.ndarray:
-    """Deterministic hash bucket of the entity id (stable across processes)."""
-    h = (osm_id.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15))
-    return (h >> np.uint64(40)).astype(np.int64) % n_buckets
-
-
 _KEY_SCHEMA = pa.schema([("key", pa.int64()), ("seq", pa.int64()),
                          ("_b", pa.int64())])
 _DUP_SCHEMA = pa.schema([("key", pa.int64()), ("max_seq", pa.int64())])
@@ -396,7 +348,7 @@ def _collision_rows(slug_dict, osm, seq, has_result, slug2code,
     return pa.table({
         "key": pa.array(key, type=pa.int64()),
         "seq": pa.array(seq[has_result], type=pa.int64()),
-        "_b": pa.array(_bucket_of(key, n_buckets), type=pa.int64())})
+        "_b": pa.array(widths.bucket_of(key, n_buckets), type=pa.int64())})
 
 
 def _dup_in_bucket(t: pa.Table) -> pa.Table:
@@ -421,7 +373,6 @@ _COLLISION_CACHE: dict = caches.register({})
 
 def collision_keys(data_dir: str, slugs: list[str],
                    *, read_path: str | None = None,
-                   n_buckets: int | None = None,
                    fingerprint: tuple | None = None) -> pd.DataFrame:
     """The SMALL side of the last-wins dedup: (map_slug, osm_id, max_seq)
     for entity ids occurring more than once within a map partition
@@ -438,30 +389,23 @@ def collision_keys(data_dir: str, slugs: list[str],
 
     The (tiny) result is cached per immutable input dir: chained queries
     (flags -> summary -> merge -> fix_plan) pay for the pre-pass once."""
-    if n_buckets is None:
-        n_buckets = globals()["n_buckets"]()
     slug2code = {s: i for i, s in enumerate(slugs)}
     path = read_path or os.path.join(data_dir, "docs")
     # callers that already walked the tree pass the fingerprint down —
     # one stat-walk per call, not two
     fp = fingerprint or caches.path_fingerprint(path)
-    ck = (path, fp, tuple(slugs), n_buckets)
+    ck = (path, fp, tuple(slugs))
     cached = _COLLISION_CACHE.get(ck)
     if cached is not None:
         return cached
-    # ~1 block/CPU here, NOT the main pass's 4/CPU: the projection emits
-    # 100KB partial blocks, and the downstream sort over many tiny blocks
-    # is pure task overhead (measured 9.2s pre-pass vs 2.3s main pass at
-    # 32 CPUs with 128 blocks; ~3s total at 32 blocks)
     ds = rd.read_parquet(path, columns=["doc_id", "spans"],
-                         override_num_blocks=min(read_blocks(),
-                                                 max(16, read_blocks() // 4)))
+                         override_num_blocks=widths.collision_read_blocks())
     parts = ds.map_batches(_collision_proj, batch_format="pyarrow",
                            fn_kwargs={"slug2code": slug2code,
-                                      "n_buckets": n_buckets})
-    # the read is already coalesced to ~4 blocks/CPU (read_blocks), so the
-    # keyed shuffle sees few, fat partial blocks — no repartition barrier
-    # needed before it
+                                      "n_buckets": widths.n_buckets()})
+    # the read is already coalesced to ~1 block/CPU
+    # (widths.collision_read_blocks), so the keyed shuffle sees few, fat
+    # partial blocks — no repartition barrier needed before it
     dups = parts.groupby("_b").map_groups(
         _dup_in_bucket, batch_format="pyarrow").to_pandas()
     inv = {i: s_ for s_, i in slug2code.items()}
@@ -479,8 +423,7 @@ _COLLISION_REF_CACHE: dict = caches.register({})
 
 
 def collision_keys_ref(data_dir: str, slugs: list[str],
-                       *, read_path: str | None = None,
-                       n_buckets: int | None = None):
+                       *, read_path: str | None = None):
     """Broadcast ObjectRef of the collision table, cached per (path, slugs,
     session).  The pre-pass runs SYNCHRONOUSLY on the driver before the
     main pass: an overlapped variant (zero-CPU task + per-batch ray.get)
@@ -491,13 +434,13 @@ def collision_keys_ref(data_dir: str, slugs: list[str],
     path = read_path or os.path.join(data_dir, "docs")
     fp = caches.path_fingerprint(path)
     key = (path, fp, tuple(slugs),
-           n_buckets, _ray_session_key() if ray.is_initialized() else None)
+           _ray_session_key() if ray.is_initialized() else None)
     if key[-1] is not None:
         ref = _COLLISION_REF_CACHE.get(key)
         if ref is not None:
             return ref
     ref = ray.put(collision_keys(data_dir, slugs, read_path=read_path,
-                                 n_buckets=n_buckets, fingerprint=fp))
+                                 fingerprint=fp))
     key = key[:-1] + (_ray_session_key() if ray.is_initialized() else None,)
     if key[-1] is not None:
         _COLLISION_REF_CACHE[key] = ref
@@ -609,7 +552,7 @@ _SUMMARY_BUCKET = pa.schema([
     ("e", pa.int64()), ("f", pa.int64())])
 
 
-def summary_per_map(flags: rd.Dataset, n_buckets: int | None = None) -> pd.DataFrame:
+def summary_per_map(flags: rd.Dataset) -> pd.DataFrame:
     """A1 (src/main.py:52-76): per map, #entities with ≥1 result, #error
     results, #fixable error results.
 
@@ -619,8 +562,7 @@ def summary_per_map(flags: rd.Dataset, n_buckets: int | None = None) -> pd.DataF
     ``groupby(bucket)`` shuffle colocates each entity's partials and the
     per-bucket pandas reduce emits ONE row per (map, bucket).  The driver
     combines only #maps × #buckets tiny rows."""
-    if n_buckets is None:
-        n_buckets = globals()["n_buckets"]()
+    n_buckets = widths.n_buckets()
 
     def partial(df: pd.DataFrame) -> pa.Table:
         err = (df["result"] == "CHECKED_ERROR")
@@ -629,7 +571,7 @@ def summary_per_map(flags: rd.Dataset, n_buckets: int | None = None) -> pd.DataF
             "e": err.astype(np.int64),
             "f": (err & df["fixable"]).astype(np.int64)})
             .groupby(["map_name", "osm_id"], sort=False, as_index=False).sum())
-        out["_b"] = _bucket_of(out["osm_id"].to_numpy(), n_buckets)
+        out["_b"] = widths.bucket_of(out["osm_id"].to_numpy(), n_buckets)
         return to_arrow(out, _SUMMARY_PARTIAL)
 
     def bucket_reduce(g: pd.DataFrame) -> pa.Table:
@@ -640,7 +582,7 @@ def summary_per_map(flags: rd.Dataset, n_buckets: int | None = None) -> pd.DataF
         return to_arrow(per_map, _SUMMARY_BUCKET)
 
     parts = flags.map_batches(partial, batch_format="pandas")
-    p = parts.repartition(shuffle_blocks()).groupby("_b").map_groups(
+    p = parts.repartition(widths.shuffle_blocks()).groupby("_b").map_groups(
         bucket_reduce, batch_format="pandas").to_pandas()
     df = p.groupby("map_name", as_index=False)[["n", "e", "f"]].sum() \
         .rename(columns={"n": "count_map_checks", "e": "count_map_errors",
@@ -691,13 +633,13 @@ def merge_overall(flags: rd.Dataset) -> rd.Dataset:
     (entity, check).  'First' is the deterministic config order (the
     reference's dict-insertion order is completion-order nondeterministic —
     documented divergence)."""
-    n_buckets = globals()["n_buckets"]()
+    n_buckets = widths.n_buckets()
 
     def add_overall(df: pd.DataFrame) -> pa.Table:
         df = df.copy()
         df["map_overall"] = df["map_name"].str.split(" (", regex=False).str[0]
         df["map_order"] = df["map_name"].map(MAP_ORDER).astype(np.int64)
-        df["_b"] = _bucket_of(df["osm_id"].to_numpy(), n_buckets)
+        df["_b"] = widths.bucket_of(df["osm_id"].to_numpy(), n_buckets)
         return to_arrow(df)
 
     def merge_bucket(g: pd.DataFrame) -> pd.DataFrame:

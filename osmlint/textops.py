@@ -35,7 +35,7 @@ import ray
 import ray.data as rd
 from ray.data.aggregate import Sum
 
-from . import caches
+from . import caches, widths
 from .metrics import split_cap_sentinels
 from .pipeline import to_arrow
 
@@ -266,11 +266,11 @@ def dedup_exact(sf_dir: str) -> pd.DataFrame:
         hi, lo = _hash128(pc.fill_null(batch["text"], ""))
         return pa.table({"fp_hi": pa.array(hi), "fp_lo": pa.array(lo),
                          "doc_id": batch["doc_id"].cast(pa.int64()),
-                         "mb": pa.array(_meta_bucket(hi))})
+                         "mb": pa.array(widths.bucket_of(hi))})
 
     def combine(g: pd.DataFrame) -> pa.Table:
         # fingerprint-cardinality reduce via meta-bucket (per-GROUP
-        # overhead rule, see _REDUCE_BUCKETS); the bucket holds EVERY row
+        # overhead rule, see widths.REDUCE_BUCKETS); the bucket holds EVERY row
         # of its fingerprints, so one C-level groupby is exact
         d = g.groupby(["fp_hi", "fp_lo"], sort=False)["doc_id"] \
             .agg(["min", "size"]).reset_index()
@@ -293,7 +293,8 @@ def dedup_exact(sf_dir: str) -> pd.DataFrame:
 N_PERM = 64
 N_BANDS = 16            # 16 bands x 4 rows
 NGRAM_N = 3
-_PRIME = np.uint64(0x9E3779B97F4A7C15)
+#: multiplier that mixes band/block values into one group key
+_PRIME = widths.GOLDEN
 
 _rng = np.random.default_rng(1234)
 _PERM_A = _rng.integers(1, (1 << 61) - 1, N_PERM, dtype=np.uint64)
@@ -456,7 +457,7 @@ def band_explode(batch: pa.Table) -> pa.Table:
     """packed signature -> (gk, doc_id, mb) keys, gk mixing (band,
     bucket-hash) into one int64; ~N_BANDS 24-byte rows per doc — the
     shingle payload does NOT ride the shuffle, and the shuffle key is the
-    BOUNDED meta-bucket (see _meta_bucket), not the bucket itself."""
+    BOUNDED meta-bucket (``widths.bucket_of``), not the bucket itself."""
     mh, _ = _unpack_binary_i64(batch, "mh")
     n = batch.num_rows
     sigs = mh.reshape(n, N_PERM)
@@ -472,7 +473,7 @@ def band_explode(batch: pa.Table) -> pa.Table:
     return pa.table({
         "gk": pa.array(gk),
         "doc_id": pa.array(np.repeat(ids, N_BANDS)),
-        "mb": pa.array(_meta_bucket(gk)),
+        "mb": pa.array(widths.bucket_of(gk)),
     })
 
 
@@ -494,16 +495,6 @@ def _skip_sentinel(n_ids: int, group_key: int, what: str,
     return pa.table({f.name: cols[f.name] for f in schema})
 
 
-def _meta_bucket(keys: np.ndarray) -> np.ndarray:
-    """Hash a group-key column down to a BOUNDED bucket id: every
-    key-cardinality groupby in the engine reduces via
-    ``groupby(bucket).map_groups`` with a vectorized in-group kernel —
-    Ray's aggregate()/map_groups pay per-GROUP overhead, measured ~100x
-    slower at 237k groups than 256 buckets (see _REDUCE_BUCKETS)."""
-    return ((keys.astype(np.uint64) * _PRIME) >> np.uint64(40)) \
-        .astype(np.int64) % _REDUCE_BUCKETS
-
-
 def _pair_mb(batch: pa.Table, a: str = "doc_a",
              b: str = "doc_b") -> pa.Table:
     """Append ``_mb`` = meta-bucket of the (a, b) pair key — the ONE
@@ -511,7 +502,7 @@ def _pair_mb(batch: pa.Table, a: str = "doc_a",
     aa = batch[a].to_numpy(zero_copy_only=False).astype(np.uint64)
     bb = batch[b].to_numpy(zero_copy_only=False).astype(np.uint64)
     return batch.append_column(
-        "_mb", pa.array(_meta_bucket(aa * _PRIME + bb), type=pa.int64()))
+        "_mb", pa.array(widths.bucket_of(aa * _PRIME + bb), type=pa.int64()))
 
 
 def _mine_bucket_pairs(gk: np.ndarray, ids: np.ndarray, cap: int,
@@ -552,8 +543,8 @@ def _mine_bucket_pairs(gk: np.ndarray, ids: np.ndarray, cap: int,
     return pa.concat_tables(tbls) if tbls else schema.empty_table()
 
 
-def _verify_jaccard_ds(cand: rd.Dataset, packed: rd.Dataset, tau: float,
-                       num_partitions: int = 4) -> rd.Dataset | None:
+def _verify_jaccard_ds(cand: rd.Dataset, packed: rd.Dataset,
+                       tau: float) -> rd.Dataset | None:
     """Join the packed shingle sets back per candidate side and compute
     EXACT Jaccard — vectorized C intersections per pair, candidates only.
     Returns the verified-pair Dataset (``doc_a, doc_b, jaccard``), or
@@ -572,9 +563,7 @@ def _verify_jaccard_ds(cand: rd.Dataset, packed: rd.Dataset, tau: float,
     # shingle blobs through the join, so a candidate-heavy corpus (1.1M
     # pairs at sf0.1) on a handful of partitions serializes the verify —
     # ~50k pairs per partition, capped by what the cluster can schedule
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    num_partitions = int(np.clip(n_cand // 50_000 + 1, 1,
-                                 max(1, min(cpus, n_cand // 256))))
+    num_partitions = widths.join_partitions(n_cand, 50_000)
     joined = cand.join(packed, "inner", num_partitions,
                        on=("doc_a",), right_on=("doc_id",))
     joined = joined.join(packed, "inner", num_partitions,
@@ -712,7 +701,7 @@ def ngram_jaccard_pairs(sf_dir: str, tau: float = 0.3,
             "ngram": pa.array(h, type=pa.int64()),
             "doc_id": pa.array(ids[seg]),
             "sz": pa.array(sizes[seg]),
-            "mb": pa.array(_meta_bucket(h))})
+            "mb": pa.array(widths.bucket_of(h))})
 
     def mine(g: pd.DataFrame) -> pa.Table:
         # one (doc_a, doc_b, sz_a, sz_b) row PER SHARED NGRAM: the
@@ -842,7 +831,7 @@ def simhash_dup_pairs(sf_dir: str,
             "gk": pa.array(gk),
             "doc_id": pa.array(np.repeat(ids, n_blocks), type=pa.int64()),
             "simhash": pa.array(np.repeat(sims, n_blocks).astype(np.int64)),
-            "mb": pa.array(_meta_bucket(gk))})
+            "mb": pa.array(widths.bucket_of(gk))})
 
     def popcount(x: np.ndarray) -> np.ndarray:
         ham = np.zeros(len(x), dtype=np.int64)
@@ -1086,9 +1075,8 @@ def vocab_topk_mg(sf_dir: str, k: int = VOCAB_K,
                          "n": pa.array(vc.to_numpy(np.int64))})
 
     def bucketize(batch: pa.Table) -> pa.Table:
-        bk = (pd.util.hash_array(batch["token"].to_pandas()
-                                 .to_numpy(dtype=object))
-              % _REDUCE_BUCKETS).astype(np.int64)
+        bk = widths.bucket_of(batch["token"].to_pandas()
+                              .to_numpy(dtype=object))
         return batch.append_column("bucket",
                                    pa.array(bk, type=pa.int64()))
 
@@ -1140,16 +1128,15 @@ def vocab_topk(sf_dir: str, k: int = VOCAB_K) -> pd.DataFrame:
                          "n": pa.array(vc.to_numpy(np.int64))})
 
     def bucketize(batch: pa.Table) -> pa.Table:
-        bk = (pd.util.hash_array(batch["token"].to_pandas()
-                                 .to_numpy(dtype=object))
-              % _REDUCE_BUCKETS).astype(np.int64)
+        bk = widths.bucket_of(batch["token"].to_pandas()
+                              .to_numpy(dtype=object))
         return batch.append_column("bucket",
                                    pa.array(bk, type=pa.int64()))
 
     def bucket_topk(g: pd.DataFrame) -> pa.Table:
         # a bucket holds EVERY row of its tokens, so the in-bucket sum is
         # final and the in-bucket top-k is exact — the global sort sees
-        # #buckets x k rows, never the vocabulary (the _REDUCE_BUCKETS
+        # #buckets x k rows, never the vocabulary (the widths.REDUCE_BUCKETS
         # rule: no token-cardinality aggregate())
         d = g.groupby("token", sort=False)["n"].sum().reset_index() \
             .sort_values(["n", "token"], ascending=[False, True]).head(k)
@@ -1245,7 +1232,7 @@ def winnow_fingerprints(sf_dir: str) -> rd.Dataset:
     path = os.path.join(sf_dir, "documents.parquet")
     return rd.read_parquet(
         path, columns=["doc_id", "text"],
-        override_num_blocks=max(1, os.path.getsize(path) >> 27),
+        override_num_blocks=widths.byte_blocks(path),
     ).map_batches(winnow_batch, batch_format="pyarrow")
 
 
@@ -1428,7 +1415,6 @@ def _bloom_probe(h: np.ndarray, bits: np.ndarray) -> np.ndarray:
 
 def decontaminate(sf_dir: str,
                   eval_sources: tuple = EVAL_SOURCES,
-                  num_partitions: int = 4,
                   bloom_prefilter: bool = False) -> pd.DataFrame:
     """Train/eval n-gram contamination report: for every eval-side doc
     sharing >=1 word-3-gram with ANY train-side doc, emit
@@ -1482,14 +1468,14 @@ def decontaminate(sf_dir: str,
     def gram_bucketize(b: pa.Table) -> pa.Table:
         h = b["ngram"].to_numpy(zero_copy_only=False)
         return pa.table({"ngram": b["ngram"],
-                         "mb": pa.array(_meta_bucket(h))})
+                         "mb": pa.array(widths.bucket_of(h))})
 
     def gram_dedup(g: pd.DataFrame) -> pa.Table:
         return pa.table({"ngram": pa.array(
             np.unique(g["ngram"].to_numpy(np.int64)))})
 
     # distinct train grams via meta-bucket reduce, NOT a gram-cardinality
-    # aggregate() (per-GROUP overhead, see _REDUCE_BUCKETS)
+    # aggregate() (per-GROUP overhead, see widths.REDUCE_BUCKETS)
     train_grams = (sh.map_batches(
         lambda b: postings(b, False), batch_format="pyarrow")
         .map_batches(gram_bucketize, batch_format="pyarrow")
@@ -1517,12 +1503,11 @@ def decontaminate(sf_dir: str,
         if n_surv == 0:
             return empty
         n_ev = n_surv
-    num_partitions = max(1, min(num_partitions, n_ev // 256))
-    hits = ev.join(train_grams, "inner", num_partitions,
+    hits = ev.join(train_grams, "inner", widths.join_partitions(n_ev, 256),
                    on=("ngram",), right_on=("ngram",))
     def doc_bucketize(b: pa.Table) -> pa.Table:
         ids = b["doc_id"].to_numpy(zero_copy_only=False)
-        return b.append_column("mb2", pa.array(_meta_bucket(ids),
+        return b.append_column("mb2", pa.array(widths.bucket_of(ids),
                                                type=pa.int64()))
 
     def doc_roll(g: pd.DataFrame) -> pa.Table:
@@ -1756,8 +1741,7 @@ DROP_BROADCAST_MAX = 1 << 24
 
 
 def dedup_apply(sf_dir: str, tau: float = 0.5,
-                broadcast_max: int = DROP_BROADCAST_MAX,
-                num_partitions: int = 4) -> pd.DataFrame:
+                broadcast_max: int = DROP_BROADCAST_MAX) -> pd.DataFrame:
     """Materialize the dedup decision: every doc_id retained after
     near-duplicate clustering keeps only each cluster's canonical
     (minimum) member.
@@ -1787,11 +1771,11 @@ def dedup_apply(sf_dir: str, tau: float = 0.5,
 
     drop = clusters.map_batches(to_drop,
                                 batch_format="pyarrow").materialize()
-    return _apply_drop(sf_dir, drop, broadcast_max, num_partitions)
+    return _apply_drop(sf_dir, drop, broadcast_max)
 
 
-def _apply_drop(sf_dir: str, drop: rd.Dataset, broadcast_max: int,
-                num_partitions: int) -> pd.DataFrame:
+def _apply_drop(sf_dir: str, drop: rd.Dataset,
+                broadcast_max: int) -> pd.DataFrame:
     """Shared retain-after-drop tail of the dedup appliers: broadcast
     ``np.isin`` filter when the drop set fits, distributed anti-join
     (8-byte keys + 1-byte marker) above — see ``dedup_apply``."""
@@ -1814,8 +1798,8 @@ def _apply_drop(sf_dir: str, drop: rd.Dataset, broadcast_max: int,
 
         df = ds.map_batches(keep, batch_format="pyarrow").to_pandas()
     else:
-        num_partitions = max(1, min(num_partitions, n_drop // 256))
-        joined = ds.join(drop, "left_outer", num_partitions,
+        joined = ds.join(drop, "left_outer",
+                         widths.join_partitions(n_drop, 256),
                          on=("doc_id",), right_on=("doc_id",))
 
         def keep_unmatched(batch: pa.Table) -> pa.Table:
@@ -1827,9 +1811,9 @@ def _apply_drop(sf_dir: str, drop: rd.Dataset, broadcast_max: int,
     return df.sort_values("doc_id").reset_index(drop=True)
 
 
-def dedup_apply_quality(sf_dir: str, tau: float = 0.5,
-                        broadcast_max: int = DROP_BROADCAST_MAX,
-                        num_partitions: int = 4) -> pd.DataFrame:
+def dedup_apply_quality(
+        sf_dir: str, tau: float = 0.5,
+        broadcast_max: int = DROP_BROADCAST_MAX) -> pd.DataFrame:
     """Quality-aware dedup apply: instead of ``dedup_apply``'s canonical
     minimum member, each near-dup cluster keeps its HIGHEST-quality doc
     (the ``_quality_cols`` score — same transcendental-free arithmetic
@@ -1851,8 +1835,7 @@ def dedup_apply_quality(sf_dir: str, tau: float = 0.5,
     if n_cl == 0:
         return _apply_drop(sf_dir, rd.from_arrow(pa.table({
             "doc_id": pa.array([], type=pa.int64()),
-            "_dup": pa.array([], type=pa.int8())})),
-            broadcast_max, num_partitions)
+            "_dup": pa.array([], type=pa.int8())})), broadcast_max)
 
     def qual(batch: pa.Table) -> pa.Table:
         df = batch.to_pandas()
@@ -1865,16 +1848,16 @@ def dedup_apply_quality(sf_dir: str, tau: float = 0.5,
         os.path.join(sf_dir, "documents.parquet"),
         columns=["doc_id", "text"]) \
         .map_batches(qual, batch_format="pyarrow")
-    npart = max(1, min(num_partitions, n_cl // 256))
     j = clusters.map_batches(
         lambda b: b.select(["doc_id", "cluster_id"]),
         batch_format="pyarrow") \
-        .join(quality, "inner", npart, on=("doc_id",),
+        .join(quality, "inner", widths.join_partitions(n_cl, 256),
+              on=("doc_id",),
               right_on=("doc_id",))
 
     def bucketize(b: pa.Table) -> pa.Table:
         c = b["cluster_id"].to_numpy(zero_copy_only=False)
-        return b.append_column("_mb", pa.array(_meta_bucket(c)))
+        return b.append_column("_mb", pa.array(widths.bucket_of(c)))
 
     def drop_group(g: pd.DataFrame) -> pa.Table:
         g = g.sort_values(["cluster_id", "q", "doc_id"],
@@ -1888,7 +1871,7 @@ def dedup_apply_quality(sf_dir: str, tau: float = 0.5,
     drop = j.map_batches(bucketize, batch_format="pyarrow") \
         .groupby("_mb").map_groups(drop_group, batch_format="pandas") \
         .materialize()
-    return _apply_drop(sf_dir, drop, broadcast_max, num_partitions)
+    return _apply_drop(sf_dir, drop, broadcast_max)
 
 
 # ---------------------------------------------------------------------------
@@ -1979,9 +1962,8 @@ def tfidf_keywords(sf_dir: str, top: int = TFIDF_TOP,
                          "d": pa.array(np.ones(len(u), dtype=np.int64))})
 
     def df_bucketize(batch: pa.Table) -> pa.Table:
-        bk = (pd.util.hash_array(batch["token"].to_pandas()
-                                 .to_numpy(dtype=object))
-              % _REDUCE_BUCKETS).astype(np.int64)
+        bk = widths.bucket_of(batch["token"].to_pandas()
+                              .to_numpy(dtype=object))
         return batch.append_column("bucket",
                                    pa.array(bk, type=pa.int64()))
 
@@ -2188,15 +2170,6 @@ DUPSPAN_BROADCAST_MAX = 4_000_000
 _DUPKEY_CACHE: dict = caches.register({})
 _DUPSPAN_CKPT_VERSION = 1
 
-#: bucket count for EVERY high-cardinality reduce in the engine.  Ray's
-#: ``groupby().aggregate()`` and per-key ``map_groups`` pay per-GROUP
-#: overhead in the sort-based finalizer — a 237k-group aggregate measured
-#: ~100x slower than bounded bucket groups with a C-level pandas/numpy
-#: combine inside map_groups.  Each bucket materializes in ONE worker
-#: task, so size it to the deployment: 256 suits a single node; a
-#: cluster-scale corpus (1/256 of a deduped partial stream must fit one
-#: worker's heap) raises it via ``$OSMLINT_REDUCE_BUCKETS``.
-_REDUCE_BUCKETS = int(os.environ.get("OSMLINT_REDUCE_BUCKETS", "256"))
 
 
 def dupspan_postings_batch(batch: pa.Table, k: int = DUPSPAN_K) -> pa.Table:
@@ -2287,7 +2260,7 @@ def dup_spans(sf_dir: str, k: int = DUPSPAN_K,
     broadcast via ray.put below ``broadcast_max`` rows and degrades to a
     distributed hash join above; span merging buckets by doc-id hash so
     each map_groups call is a vectorized run over many docs (bounded
-    meta-buckets, $OSMLINT_REDUCE_BUCKETS-tunable).
+    meta-buckets, ``widths.REDUCE_BUCKETS``).
     Within-doc-only repeats are NOT flagged (repetition_stats covers
     those)."""
     ckpt = dupspan_checkpoint(sf_dir, k)
@@ -2302,8 +2275,7 @@ def dup_spans(sf_dir: str, k: int = DUPSPAN_K,
         agg = df.groupby(["h1", "h2"], sort=False)["doc_id"] \
             .agg(["min", "max"]).reset_index()
         h1 = agg["h1"].to_numpy(np.int64)
-        bk = ((h1.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15))
-              >> np.uint64(40)).astype(np.int64) % _REDUCE_BUCKETS
+        bk = widths.bucket_of(h1)
         return pa.table({"h1": pa.array(h1),
                          "h2": pa.array(agg["h2"].to_numpy(np.int64)),
                          "dmin": pa.array(agg["min"].to_numpy(np.int64)),
@@ -2322,8 +2294,7 @@ def dup_spans(sf_dir: str, k: int = DUPSPAN_K,
     # split to #CPU blocks yield empty zero-schema sort partitions
     # (the IVF read-coalescing rule); at scale this converges to Ray's
     # ~128 MB default.
-    nb = max(1, sum(os.path.getsize(os.path.join(ckpt, f))
-                    for f in os.listdir(ckpt)) >> 27)
+    nb = widths.byte_blocks(ckpt)
     dup = _DUPKEY_CACHE.get(ckpt)
     if dup is None:
         dup = rd.read_parquet(ckpt, columns=["h1", "h2", "doc_id"],
@@ -2363,17 +2334,16 @@ def dup_spans(sf_dir: str, k: int = DUPSPAN_K,
 
         hits = posts.map_batches(hit_filter, batch_format="pyarrow")
     else:
-        # join aggregators are actors: scale partitions with the posting
-        # volume (one per ~128 MB block) but never beyond what the
-        # cluster can schedule (ann.py join sizing rule)
-        n_part = max(1, min(int(ray.cluster_resources().get("CPU", 8)), nb))
-        hits = posts.join(dup, "inner", n_part, on=("h1", "h2")) \
+        # join aggregators are actors: one partition per ~128 MB posting
+        # block, capped by what the cluster can schedule
+        hits = posts.join(dup, "inner", widths.join_partitions(nb, 1),
+                          on=("h1", "h2")) \
             .select_columns(["doc_id", "pos"])
 
     def bucketize(batch: pa.Table) -> pa.Table:
         ids = batch["doc_id"].to_numpy(zero_copy_only=False)
         return batch.append_column(
-            "bucket", pa.array(_meta_bucket(ids), type=pa.int64()))
+            "bucket", pa.array(widths.bucket_of(ids), type=pa.int64()))
 
     return hits.map_batches(bucketize, batch_format="pyarrow") \
         .groupby("bucket") \
@@ -2433,10 +2403,9 @@ def _pair_counts_ds(sf_dir: str) -> rd.Dataset:
 
     def bucketize(batch: pa.Table) -> pa.Table:
         # bigram-vocab-cardinality keys: bucket reduce, not aggregate()
-        # (per-GROUP overhead, see _REDUCE_BUCKETS)
+        # (per-GROUP overhead, see widths.REDUCE_BUCKETS)
         w1 = batch["w1"].to_pandas()
-        bk = (pd.util.hash_array(w1.to_numpy(dtype=object))
-              % _REDUCE_BUCKETS).astype(np.int64)
+        bk = widths.bucket_of(w1.to_numpy(dtype=object))
         return batch.append_column("bucket", pa.array(bk, type=pa.int64()))
 
     def bucket_sum(g: pd.DataFrame) -> pa.Table:
@@ -2504,11 +2473,11 @@ def pmi_bigrams(sf_dir: str, top: int = PMI_TOP,
     if n_big_rows == 0:         # Ray join crashes on an empty LEFT dataset
         return empty_out
     uni = agg.map_batches(lambda b: split(b, True), batch_format="pyarrow")
-    # partitions scale with the filtered bigram volume (ann.py join
-    # sizing rule) — a partition count above the non-empty block count
-    # feeds join 2 zero-schema empty blocks, which acero rejects
-    n_part = max(1, min(int(ray.cluster_resources().get("CPU", 8)),
-                        n_big_rows // 256 + 1))
+    # partitions scale with the filtered bigram volume — a partition
+    # count above the non-empty block count feeds join 2 zero-schema empty
+    # blocks, which acero rejects
+    # not widths.join_partitions: its floor of 4 would exceed this bound
+    n_part = max(1, min(widths.cpus(), n_big_rows // 256 + 1))
     j = big.join(uni, "inner", n_part, on=("w1",), right_on=("w",),
                  left_suffix="_b", right_suffix="_u1")
     j = j.join(uni, "inner", n_part, on=("w2",), right_on=("w",),
@@ -2644,11 +2613,10 @@ def distinct_token_counts(sf_dir: str) -> pd.DataFrame:
 
     def bucketize(batch: pa.Table) -> pa.Table:
         # vocab-cardinality keys NEVER hit groupby.aggregate() (per-GROUP
-        # overhead, see _REDUCE_BUCKETS): bucket on the token hash and
+        # overhead, see widths.REDUCE_BUCKETS): bucket on the token hash and
         # dedup+count inside the group with C-level pandas
         h1 = batch["h1"].to_numpy(zero_copy_only=False)
-        bk = ((h1.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15))
-              >> np.uint64(40)).astype(np.int64) % _REDUCE_BUCKETS
+        bk = widths.bucket_of(h1)
         return batch.append_column("bucket", pa.array(bk, type=pa.int64()))
 
     def bucket_count(g: pd.DataFrame) -> pa.Table:
@@ -2767,15 +2735,11 @@ def dup_span_stats(sf_dir: str, k: int = DUPSPAN_K) -> rd.Dataset:
     the span<->total alignment happen in ONE doc-bucket groupby over the
     union of the two partial streams (aligned schemas, zero-filled
     columns) — no high-cardinality aggregate (per-GROUP overhead, see
-    ``_REDUCE_BUCKETS``), no join."""
+    ``widths.REDUCE_BUCKETS``), no join."""
     spans = dup_spans(sf_dir, k)
     _schema = pa.schema([("doc_id", pa.int64()), ("n_spans", pa.int64()),
                          ("dup_tokens", pa.int64()), ("m", pa.int64()),
                          ("bucket", pa.int64())])
-
-    def _bk(ids: np.ndarray) -> np.ndarray:
-        return ((ids.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15))
-                >> np.uint64(40)).astype(np.int64) % _REDUCE_BUCKETS
 
     def roll(batch: pa.Table) -> pa.Table:
         df = batch.to_pandas()
@@ -2789,7 +2753,8 @@ def dup_span_stats(sf_dir: str, k: int = DUPSPAN_K) -> rd.Dataset:
                          "dup_tokens": pa.array(g["dup_tokens"]
                                                 .to_numpy(np.int64)),
                          "m": pa.array(np.zeros(len(ids), np.int64)),
-                         "bucket": pa.array(_bk(ids))}, schema=_schema)
+                         "bucket": pa.array(widths.bucket_of(ids))},
+                        schema=_schema)
 
     def tok_partial(batch: pa.Table) -> pa.Table:
         df = batch.to_pandas()
@@ -2800,7 +2765,8 @@ def dup_span_stats(sf_dir: str, k: int = DUPSPAN_K) -> rd.Dataset:
                          "n_spans": pa.array(z),
                          "dup_tokens": pa.array(z),
                          "m": pa.array(g["m"].to_numpy(np.int64)),
-                         "bucket": pa.array(_bk(ids))}, schema=_schema)
+                         "bucket": pa.array(widths.bucket_of(ids))},
+                        schema=_schema)
 
     out_schema = pa.schema([
         ("doc_id", pa.int64()), ("n_spans", pa.int64()),
@@ -2826,8 +2792,7 @@ def dup_span_stats(sf_dir: str, k: int = DUPSPAN_K) -> rd.Dataset:
             schema=out_schema)
 
     ckpt = dupspan_checkpoint(sf_dir, k)
-    nb = max(1, sum(os.path.getsize(os.path.join(ckpt, f))
-                    for f in os.listdir(ckpt)) >> 27)
+    nb = widths.byte_blocks(ckpt)
     totals = rd.read_parquet(ckpt, columns=["doc_id"],
                              override_num_blocks=nb) \
         .map_batches(tok_partial, batch_format="pyarrow")
@@ -3052,9 +3017,9 @@ def pack_sequences(sf_dir: str, budget: int = PACK_BUDGET,
     chunk_idx) order within their range, a sequence never spans a range
     boundary (at most one underfull sequence per range), and the result
     is partition-independent and reproducible.  Ranges reduce through
-    meta-buckets (the _REDUCE_BUCKETS rule); the in-range kernel loops
-    over SEQUENCES via searchsorted on the chunk-size prefix sum, not
-    over chunks.  Only (grp, doc, idx, size) rows shuffle — never text."""
+    meta-buckets (the ``widths.REDUCE_BUCKETS`` rule); the in-range kernel
+    loops over SEQUENCES via searchsorted on the chunk-size prefix sum,
+    not over chunks.  Only (grp, doc, idx, size) rows shuffle — never text."""
     def sizes(batch: pa.Table) -> pa.Table:
         df = batch.to_pandas()
         ids = df["doc_id"].to_numpy(np.int64)
@@ -3071,7 +3036,7 @@ def pack_sequences(sf_dir: str, budget: int = PACK_BUDGET,
                          "doc_id": pa.array(rep),
                          "chunk_idx": pa.array(idx),
                          "n_tokens": pa.array(csz),
-                         "mb": pa.array(_meta_bucket(grp))})
+                         "mb": pa.array(widths.bucket_of(grp))})
 
     out_schema = pa.schema([
         ("grp", pa.int64()), ("seq_id", pa.int64()),
@@ -3178,7 +3143,7 @@ def winnow_dup_pairs(sf_dir: str, tau: float = WINNOW_PAIR_TAU,
         return pa.table({"fp": pa.array(fp),
                          "doc_id": pa.array(ids),
                          "sz": pa.array(sz),
-                         "mb": pa.array(_meta_bucket(fp))})
+                         "mb": pa.array(widths.bucket_of(fp))})
 
     def mine(g: pd.DataFrame) -> pa.Table:
         # one row per shared fp per pair from the triu expansion, then
@@ -3210,7 +3175,7 @@ def winnow_dup_pairs(sf_dir: str, tau: float = WINNOW_PAIR_TAU,
         ns = int((~real).sum())
         pk = np.concatenate([pk, b[~real].astype(np.uint64)])
         return pa.table({
-            "_mb": pa.array(_meta_bucket(pk.view(np.int64))),
+            "_mb": pa.array(widths.bucket_of(pk.view(np.int64))),
             "pk": pa.array(pk),
             "szpk": pa.array(np.concatenate(
                 [szpk, np.zeros(ns, dtype=np.uint64)])),
@@ -3250,7 +3215,7 @@ def winnow_dup_pairs(sf_dir: str, tau: float = WINNOW_PAIR_TAU,
         path = os.path.join(sf_dir, "documents.parquet")
         cand = rd.read_parquet(
             path, columns=["doc_id", "text"],
-            override_num_blocks=max(1, os.path.getsize(path) >> 27)) \
+            override_num_blocks=widths.byte_blocks(path)) \
             .map_batches(postings, batch_format="pyarrow") \
             .groupby("mb").map_groups(mine, batch_format="pandas") \
             .groupby("_mb").map_groups(jaccard_filter,
@@ -3333,9 +3298,9 @@ def _split_assign(ids: np.ndarray, key: np.ndarray) -> pa.Table:
                      "split": pa.array(split, type=pa.string())})
 
 
-def corpus_split_leakfree(sf_dir: str, tau: float = 0.5,
-                          broadcast_max: int = DROP_BROADCAST_MAX,
-                          num_partitions: int = 4) -> pd.DataFrame:
+def corpus_split_leakfree(
+        sf_dir: str, tau: float = 0.5,
+        broadcast_max: int = DROP_BROADCAST_MAX) -> pd.DataFrame:
     """Cluster-aware train/val/test assignment: near-duplicate documents
     NEVER straddle a split boundary (a near-dup of a training doc inside
     the eval split is exactly the leakage dedup exists to prevent — Lee
@@ -3384,8 +3349,8 @@ def corpus_split_leakfree(sf_dir: str, tau: float = 0.5,
 
         df = ds.map_batches(assign, batch_format="pyarrow").to_pandas()
     else:
-        num_partitions = max(1, min(num_partitions, n_lab // 256))
-        joined = ds.join(labels, "left_outer", num_partitions,
+        joined = ds.join(labels, "left_outer",
+                         widths.join_partitions(n_lab, 256),
                          on=("doc_id",), right_on=("doc_id",))
 
         def assign_joined(batch: pa.Table) -> pa.Table:

@@ -29,9 +29,10 @@ def main():
     ap.add_argument("--report", action="store_true", help="also render HTML")
     args = ap.parse_args()
 
+    import osmlint
     if not ray.is_initialized():
         ray.init(address=os.environ.get("RAY_ADDRESS", "local"),
-                 include_dashboard=False)
+                 include_dashboard=False, runtime_env=osmlint.runtime_env())
     try:
         from osmlint import lineage, report
         manifest = lineage.run_resumable(args.data, args.out)

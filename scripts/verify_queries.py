@@ -8,6 +8,7 @@ Usage: python scripts/verify_queries.py [sf_dir] [query ...]
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 
@@ -15,7 +16,7 @@ import duckdb
 import pandas as pd
 import ray
 
-sys.path.insert(0, ".")
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 
 def to_pandas(x):
@@ -86,9 +87,10 @@ def main():
         return
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
     only = set(sys.argv[2:])
+    import osmlint
     if not ray.is_initialized():
         ray.init(address="local", num_cpus=8, include_dashboard=False,
-                 logging_level="ERROR")
+                 logging_level="ERROR", runtime_env=osmlint.runtime_env())
     import __ray_entry__ as e
     from osmlint import queries as qmod
     qs = e.queries()

@@ -55,6 +55,18 @@ def test_distributed_cc_matches_local(ray_session):
                                         "cluster_size"] == 8).all()
 
 
+def test_distributed_cc_fewer_clusters_than_partitions(ray_session):
+    """One 2,000-leaf star: the closure is wide enough for several join
+    partitions but has a single cluster, so a join keyed on the cluster
+    set would leave partitions with only schema-less empty blocks."""
+    edges = pd.DataFrame({"doc_a": np.zeros(2_000, dtype=np.int64),
+                          "doc_b": np.arange(1, 2_001)})
+    out = graph.cluster_labels(rd.from_pandas(edges), small_threshold=0)
+    assert out["doc_id"].tolist() == list(range(2_001))
+    assert (out["cluster_id"] == 0).all()
+    assert (out["cluster_size"] == 2_001).all()
+
+
 def test_cluster_labels_empty(ray_session):
     out = graph.cluster_labels(rd.from_pandas(
         pd.DataFrame({"doc_a": pd.Series(dtype=np.int64),

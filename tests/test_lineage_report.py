@@ -109,3 +109,23 @@ def test_cell_sorted_layout(ray_session, synth_small, tmp_path):
     # globally sorted across the whole layout (files read in name order)
     import numpy as np
     assert (np.diff(m) >= 0).all()
+
+
+def test_job_entry_workers_import_from_any_cwd(synth_small, tmp_path):
+    """The job entrypoint ships ``osmlint`` to its workers: run from an
+    unrelated cwd with no ``PYTHONPATH``, the map workers still import
+    it."""
+    import subprocess
+    import sys
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("PYTHONPATH", "RAY_ADDRESS")}
+    cwd = tmp_path / "elsewhere"
+    cwd.mkdir()
+    res = subprocess.run(
+        [sys.executable, os.path.join(root, "scripts", "job_entry.py"),
+         "--data", synth_small, "--out", str(tmp_path / "out")],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=600)
+    assert res.returncode == 0, res.stderr[-3000:]
+    assert '"partitions"' in res.stdout

@@ -308,3 +308,37 @@ def test_one_disk_purger():
     for mi in pkgutil.iter_modules(osmlint.__path__):
         importlib.import_module(f"osmlint.{mi.name}")
     assert len(caches._PURGERS) == 1
+
+
+def test_publish_sweeps_only_dead_local_writers(tmp_path, monkeypatch):
+    """A hard-killed writer's ``out.tmp.<host>.<pid>.<uuid>`` dir is
+    removed by the next publish on the same host; a live pid's dir and
+    another host's dir may be concurrent writers and stay.  The host name
+    carries dots, so the temp name must be parsed from the right."""
+    import socket
+    import subprocess
+    import sys
+
+    host = "worker-3.rack.example"
+    monkeypatch.setattr(socket, "gethostname", lambda: host)
+    dead = subprocess.Popen([sys.executable, "-c", "pass"])
+    dead.wait()
+    out = str(tmp_path / "ck")
+    litter = {
+        "dead": f"{out}.tmp.{host}.{dead.pid}.aa",
+        "live": f"{out}.tmp.{host}.{os.getpid()}.bb",
+        "other_host": f"{out}.tmp.other.{host}.{dead.pid}.cc",
+    }
+    for d in litter.values():
+        os.makedirs(os.path.join(d, "part"))
+
+    def write(tmp: str) -> None:
+        name = os.path.basename(tmp)
+        assert name.startswith(f"ck.tmp.{host}.{os.getpid()}.")
+        open(os.path.join(tmp, "x"), "w").close()
+
+    caches.publish(out, write)
+    assert caches.sealed(out)
+    assert not os.path.exists(litter["dead"])
+    assert os.path.isdir(litter["live"])
+    assert os.path.isdir(litter["other_host"])
