@@ -21,7 +21,10 @@ replace=True)``, which first removes whatever a crashed or earlier run
 left under that slug (sealed or not, temp dirs included), then publishes
 atomically, sealed with ``_SUCCESS``.  Readers take the partitions from
 ``partition_dirs``, never from a directory listing.  Lineage output is
-not a cache — ``clear_caches(purge_disk=True)`` never deletes it."""
+not a cache — ``clear_caches(purge_disk=True)`` never deletes it.  All
+partitions dedup against one whole-table collision table, built once per
+process: the first partition a process runs carries that pre-pass in its
+manifest ``wall_s``."""
 
 from __future__ import annotations
 

@@ -372,8 +372,7 @@ _COLLISION_CACHE: dict = caches.register({})
 
 
 def collision_keys(data_dir: str, slugs: list[str],
-                   *, read_path: str | None = None,
-                   fingerprint: tuple | None = None) -> pd.DataFrame:
+                   *, fingerprint: tuple | None = None) -> pd.DataFrame:
     """The SMALL side of the last-wins dedup: (map_slug, osm_id, max_seq)
     for entity ids occurring more than once within a map partition
     (reference keys its accumulator by bare id, last write wins —
@@ -388,9 +387,10 @@ def collision_keys(data_dir: str, slugs: list[str],
     parquet beats pinning the whole decode in the object store at scale).
 
     The (tiny) result is cached per immutable input dir: chained queries
-    (flags -> summary -> merge -> fix_plan) pay for the pre-pass once."""
+    (flags -> summary -> merge -> fix_plan) and every lineage shard (the
+    key never crosses a shard) pay for the pre-pass once per process."""
     slug2code = {s: i for i, s in enumerate(slugs)}
-    path = read_path or os.path.join(data_dir, "docs")
+    path = os.path.join(data_dir, "docs")
     # callers that already walked the tree pass the fingerprint down —
     # one stat-walk per call, not two
     fp = fingerprint or caches.path_fingerprint(path)
@@ -422,8 +422,7 @@ def collision_keys(data_dir: str, slugs: list[str],
 _COLLISION_REF_CACHE: dict = caches.register({})
 
 
-def collision_keys_ref(data_dir: str, slugs: list[str],
-                       *, read_path: str | None = None):
+def collision_keys_ref(data_dir: str, slugs: list[str]):
     """Broadcast ObjectRef of the collision table, cached per (path, slugs,
     session).  The pre-pass runs SYNCHRONOUSLY on the driver before the
     main pass: an overlapped variant (zero-CPU task + per-batch ray.get)
@@ -431,7 +430,7 @@ def collision_keys_ref(data_dir: str, slugs: list[str],
     nested execution ride the blocked-task CPU release at small
     num_cpus — the sequential two-pass shape is both faster at real
     parallelism and honest under resource accounting."""
-    path = read_path or os.path.join(data_dir, "docs")
+    path = os.path.join(data_dir, "docs")
     fp = caches.path_fingerprint(path)
     key = (path, fp, tuple(slugs),
            _ray_session_key() if ray.is_initialized() else None)
@@ -439,8 +438,7 @@ def collision_keys_ref(data_dir: str, slugs: list[str],
         ref = _COLLISION_REF_CACHE.get(key)
         if ref is not None:
             return ref
-    ref = ray.put(collision_keys(data_dir, slugs, read_path=read_path,
-                                 fingerprint=fp))
+    ref = ray.put(collision_keys(data_dir, slugs, fingerprint=fp))
     key = key[:-1] + (_ray_session_key() if ray.is_initialized() else None,)
     if key[-1] is not None:
         _COLLISION_REF_CACHE[key] = ref
@@ -510,8 +508,8 @@ def flags_dataset(data_dir: str, *, partition: str | None = None,
     the big stream itself never shuffles and is never materialized.
 
     ``partition`` restricts the chain to one ``map=<slug>`` shard (the
-    lineage unit of work): an uncoalesced read of that shard, with the
-    collision pre-pass over that shard alone.
+    lineage unit of work): an uncoalesced read of that shard, deduped
+    against the whole-table collision table (its key never crosses shards).
 
     All stages are TASK-based ``map_batches`` with per-worker state caching
     (``_cached``): Ray fuses the chain into one task per block, warm worker
@@ -519,15 +517,13 @@ def flags_dataset(data_dir: str, *, partition: str | None = None,
     CPUs an upstream stage might starve for."""
     refs = broadcast_refs(data_dir)
     if partition is None:
-        ds, path = read_documents(data_dir), None
-        slugs = doc_partitions(data_dir)
+        ds = read_documents(data_dir)
     else:
-        path = os.path.join(data_dir, "docs", f"map={partition}")
-        ds = rd.read_parquet(path, columns=["doc_id", "spans"])
-        slugs = [partition]
+        shard = os.path.join(data_dir, "docs", f"map={partition}")
+        ds = rd.read_parquet(shard, columns=["doc_id", "spans"])
     ds = ds.map_batches(decode_and_index, batch_format="pyarrow")
     if dedup:
-        coll_ref = collision_keys_ref(data_dir, slugs, read_path=path)
+        coll_ref = collision_keys_ref(data_dir, doc_partitions(data_dir))
         ds = ds.map_batches(dedup_filter, batch_format="pyarrow",
                             fn_kwargs={"collisions_ref": coll_ref})
     if with_pip:

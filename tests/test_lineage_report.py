@@ -7,12 +7,12 @@ import pandas as pd
 import pyarrow.parquet as pq
 import pytest
 
-from osmlint import lineage, pipeline, report
+from osmlint import caches, lineage, pipeline, report
 
 
 def _all_flags(out_dir):
-    parts = sorted(d for d in os.listdir(out_dir) if d.startswith("part="))
-    dfs = [pq.read_table(os.path.join(out_dir, d)).to_pandas() for d in parts]
+    dfs = [pq.read_table(d).to_pandas()
+           for d in lineage.partition_dirs(out_dir)]
     return pd.concat(dfs, ignore_index=True)
 
 
@@ -39,6 +39,52 @@ def test_kill_and_resume(ray_session, synth_small, tmp_path):
         check_dtype=False)
     # metrics present per partition
     assert all(v["flags"] > 0 and v["wall_s"] >= 0 for v in manifest.values())
+
+
+def test_collision_table_per_slug_is_the_shard_brute_force(ray_session,
+                                                          synth_small):
+    """Every lineage shard dedups against the whole-table collision table.
+    That is sound because the key is (map_slug, osm_id): the whole table
+    restricted to one slug is exactly the collisions found in that shard
+    alone, for a slug with collisions and for slugs with none."""
+    d = synth_small
+    got = pipeline.collision_keys(d, pipeline.doc_partitions(d))
+    flat = pq.read_table(os.path.join(d, "flat.parquet"),
+                         columns=["map_slug", "osm_id", "seq", "origin",
+                                  "place"]).to_pandas()
+    has_result = (flat["origin"].eq("sophox")
+                  | flat["place"].isin(["city", "town", "village"]))
+    sizes = {}
+    for slug in pipeline.doc_partitions(d):
+        shard = flat[has_result & flat["map_slug"].eq(slug)]
+        g = shard.groupby(["map_slug", "osm_id"])["seq"].agg(["size", "max"])
+        exp = sorted((s, int(i), int(m)) for (s, i), m
+                     in g.loc[g["size"] > 1, "max"].items())
+        mine = got[got["map_slug"] == slug]
+        assert sorted(zip(mine["map_slug"], mine["osm_id"].astype(int),
+                          mine["max_seq"].astype(int))) == exp, slug
+        sizes[slug] = len(exp)
+    assert any(sizes.values()) and not all(sizes.values()), sizes
+
+
+def test_one_collision_prepass_per_process(ray_session, synth_small,
+                                           tmp_path, monkeypatch):
+    """A crash pass and its resume in one process run the collision
+    pre-pass once, not once per shard."""
+    calls = []
+    real = pipeline.collision_keys
+
+    def counted(*a, **k):
+        calls.append(a)
+        return real(*a, **k)
+    monkeypatch.setattr(pipeline, "collision_keys", counted)
+    caches.clear_caches()
+    out = str(tmp_path / "flags_out")
+    with pytest.raises(RuntimeError, match="injected failure"):
+        lineage.run_resumable(synth_small, out, fail_after=3)
+    manifest = lineage.run_resumable(synth_small, out)
+    assert set(manifest) == set(lineage.partitions(synth_small))
+    assert len(calls) == 1, len(calls)
 
 
 def test_resume_replaces_stale_partitions(ray_session, synth_small, tmp_path):
