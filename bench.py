@@ -146,7 +146,7 @@ def _scaling_inner(num_cpus: int) -> dict:
     from osmlint import pipeline, synth
     d = synth.generate(SCALING_SF)
     _init_ray(num_cpus)
-    pipeline.flags_dataset(synth.generate(0.001), dedup=True).count()  # warmup
+    pipeline.flags_dataset(synth.generate(0.001)).count()  # warmup
     best, rows = None, 0
     import osmlint
     for _ in range(2):
@@ -160,7 +160,7 @@ def _scaling_inner(num_cpus: int) -> dict:
         # inflate efficiency.
         osmlint.clear_caches()
         t0 = _t.time()
-        rows = pipeline.flags_dataset(d, dedup=True).count()
+        rows = pipeline.flags_dataset(d).count()
         dt = _t.time() - t0
         best = dt if best is None else min(best, dt)
     import pyarrow.parquet as pq

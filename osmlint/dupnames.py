@@ -34,7 +34,7 @@ import pyarrow as pa
 import ray.data as rd
 
 from . import caches, geo, widths
-from .pipeline import decode_and_index, read_documents, to_arrow
+from .pipeline import decoded, to_arrow
 
 #: process-lifetime cache of the materialized named-CTV projection —
 #: shared by knn_dup_names and geocluster.geo_clusters, which the driver
@@ -143,8 +143,7 @@ def named_ctv_deduped(data_dir: str, *,
     if key in _NAMED_CACHE:
         return _NAMED_CACHE[key]
     # read ONLY the target map shard (hive pruning at the read)
-    ds = rd.read_parquet(shard, columns=["doc_id", "spans"])
-    ds = ds.map_batches(decode_and_index, batch_format="pyarrow")
+    ds = decoded(data_dir, partition=map_slug)
 
     def named_ctv(batch: pa.Table) -> pa.Table:
         df = batch.to_pandas()

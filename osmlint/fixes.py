@@ -33,9 +33,7 @@ from . import checks as checks_mod
 from . import config as config_mod
 from . import translit
 from .geo import haversine_km
-from .pipeline import (PipAssign, _resolve, broadcast_refs,
-                       collision_keys_ref, decode_and_index, dedup_filter,
-                       doc_partitions, read_documents, to_arrow)
+from .pipeline import _resolve, broadcast_refs, decoded, to_arrow
 
 FIXES_SCHEMA = pa.schema([
     ("doc_id", pa.string()), ("map_name", pa.string()),
@@ -325,15 +323,7 @@ def fix_plan_dataset(data_dir: str) -> rd.Dataset:
     links = pq.read_table(os.path.join(data_dir, "wiki_links.parquet")) \
         .to_pandas()
     links_ref = ray.put(links)
-    ds = read_documents(data_dir)
-    ds = ds.map_batches(decode_and_index, batch_format="pyarrow")
-    coll_ref = collision_keys_ref(data_dir, doc_partitions(data_dir))
-    ds = ds.map_batches(dedup_filter, batch_format="pyarrow",
-                        fn_kwargs={"collisions_ref": coll_ref})
-    from .pipeline import pip_assign_batch
-    ds = ds.map_batches(pip_assign_batch, batch_format="pyarrow",
-                        fn_kwargs={"countries_ref": refs["countries"],
-                                   "tiles_ref": refs["tiles"]})
+    ds = decoded(data_dir, dedup=True, pip=True)
     return ds.map_batches(fix_plan_batch, batch_format="pyarrow",
                           fn_kwargs={"wiki_ref_ref": refs["wiki_ref"],
                                      "wikidata_ref_ref": refs["wikidata_ref"],

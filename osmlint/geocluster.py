@@ -83,7 +83,6 @@ MIN_PTS = 4
 #: >= 0.83 km at 47N — both exceed EPS_KM, so ring-1 replication covers
 #: every eps-pair over the Serbia extent.
 RES = 15
-GROUP_RES = 10
 #: broadcast ceiling for the core id set (int64 ids: 128 MiB at 2^24),
 #: mirroring textops.dedup_apply's keep-list threshold.
 BROADCAST_MAX = 1 << 24
@@ -113,7 +112,7 @@ def _to_nodes(batch: pa.Table) -> pa.Table:
                      "lon": pa.array(df["lon"].to_numpy(np.float64))})
 
 
-def _replicate(batch: pa.Table, *, res: int, group_res: int) -> pa.Table:
+def _replicate(batch: pa.Table, *, res: int) -> pa.Table:
     """Emit each point into home cell (anchor) + ring-1 neighbors;
     ``gcell`` (coarse ancestor) is the shuffle key."""
     node = batch["node"].to_numpy(zero_copy_only=False)
@@ -133,10 +132,7 @@ def _replicate(batch: pa.Table, *, res: int, group_res: int) -> pa.Table:
     # instead of pinning the whole area to one straggler group (the
     # ancestor keying made one bucket 5x the mean at sf0.1).  Residual
     # skew is a single ultra-dense FINE cell — irreducible for this
-    # algorithm without changing ``res``.  ``group_res`` stays in the
-    # signature (callers key caches on it) but no longer shapes the
-    # shuffle.
-    del group_res
+    # algorithm without changing ``res``.
     gcell = widths.bucket_of(flat)
     return pa.table({
         "gcell": pa.array(gcell), "cell": pa.array(flat),
@@ -223,8 +219,7 @@ _PAIRS_CKPT_VERSION = 1
 
 
 def mined_eps_pairs(data_dir: str, *, map_slug: str = "serbia_pbf",
-                    eps_km: float = EPS_KM, res: int = RES,
-                    group_res: int = GROUP_RES) -> rd.Dataset:
+                    eps_km: float = EPS_KM, res: int = RES) -> rd.Dataset:
     """Shared eps-pair mining over the deduped named-CTV points —
     ``(doc_a, doc_b, dist_km, raw_ok)``, materialized once per (input
     fingerprint, eps, res) so ``geo_clusters``, ``geo_cluster_stats``,
@@ -245,14 +240,14 @@ def mined_eps_pairs(data_dir: str, *, map_slug: str = "serbia_pbf",
             .map_batches(_to_nodes, batch_format="pyarrow")
         return points.map_batches(
             _replicate, batch_format="pyarrow",
-            fn_kwargs={"res": res, "group_res": group_res}) \
+            fn_kwargs={"res": res}) \
             .groupby("gcell").map_groups(
                 _eps_pairs_group, batch_format="pandas",
                 fn_kwargs={"eps_km": eps_km})
 
     pairs = caches.dataset_checkpoint(
         "eps_pairs", (shard, caches.path_fingerprint(shard), map_slug,
-                      eps_km, res, group_res, _PAIRS_CKPT_VERSION), build)
+                      eps_km, res, _PAIRS_CKPT_VERSION), build)
     # an empty mine is checkpointed meta-only; consumers still need the
     # mine's columns
     return pairs if pairs is not None \
@@ -339,7 +334,7 @@ def _local_members(df: pd.DataFrame, min_pts: int) -> pd.DataFrame:
 
 def geo_clusters(data_dir: str, *, map_slug: str = "serbia_pbf",
                  eps_km: float = EPS_KM, min_pts: int = MIN_PTS,
-                 res: int = RES, group_res: int = GROUP_RES,
+                 res: int = RES,
                  small_threshold: int | None = None) -> rd.Dataset:
     """DBSCAN over the deduped named-CTV points of one map shard ->
     ``(osm_id, entity_type, cluster_id, is_core, cluster_size)`` for
@@ -358,11 +353,11 @@ def geo_clusters(data_dir: str, *, map_slug: str = "serbia_pbf",
     if small_threshold is None:
         small_threshold = SMALL_PAIRS
     ckey = (shard, caches.path_fingerprint(shard), map_slug,
-            eps_km, min_pts, res, group_res, small_threshold == 0)
+            eps_km, min_pts, res, small_threshold == 0)
     if ckey in _MEMBERS_CACHE:
         return _MEMBERS_CACHE[ckey]
     pairs = mined_eps_pairs(data_dir, map_slug=map_slug, eps_km=eps_km,
-                            res=res, group_res=group_res) \
+                            res=res) \
         .map_batches(
             lambda b: b.filter(b["raw_ok"]).select(["doc_a", "doc_b"]),
             batch_format="pyarrow") \
@@ -494,27 +489,33 @@ def geo_clusters(data_dir: str, *, map_slug: str = "serbia_pbf",
         border = j.map_batches(bucketize_x, batch_format="pyarrow") \
             .groupby("_mb").map_groups(min_label, batch_format="pandas")
         members = members.union(border)
-    members = members.materialize()
 
-    # --- cluster sizes (core + border) + final decode
-    sizes = _count_reduce(members.map_batches(
-        lambda b: pa.table({"cl": b["cluster_id"].cast(pa.int64())}),
-        batch_format="pyarrow"), "cl", "n")
-    np3 = widths.join_partitions(members.count(), 128)
-    out = members.join(sizes, "inner", np3, on=("cluster_id",),
-                       right_on=("cl",))
+    # --- cluster sizes (core + border) + final decode: bucket members by
+    # cluster hash, so every row of a cluster lands in one bucket and the
+    # in-bucket count is final (the ``graph.cluster_labels`` shape).  A
+    # hash join keyed on the clusters fails once a join partition gets
+    # only zero-column empty blocks, which acero rejects.
+    def bucketize_cl(b: pa.Table) -> pa.Table:
+        cl = b["cluster_id"].to_numpy(zero_copy_only=False)
+        return pa.table({"node": b["node"].cast(pa.int64()),
+                         "cluster_id": b["cluster_id"].cast(pa.int64()),
+                         "is_core": b["is_core"].cast(pa.bool_()),
+                         "_sb": pa.array(widths.bucket_of(cl))})
 
-    def decode(b: pa.Table) -> pa.Table:
-        nd = b["node"].to_numpy(zero_copy_only=False)
+    def with_size(g: pd.DataFrame) -> pa.Table:
+        nd = g["node"].to_numpy(np.int64)
+        size = g.groupby("cluster_id", sort=False)["node"].transform("size")
         return pa.table({
             "osm_id": pa.array(nd // 4),
             "entity_type": pa.array(_ETYPE_NAME[nd % 4]),
-            "cluster_id": b["cluster_id"].cast(pa.int64()),
-            "is_core": b["is_core"].cast(pa.bool_()),
-            "cluster_size": b["n"].cast(pa.int64())})
+            "cluster_id": pa.array(g["cluster_id"].to_numpy(np.int64)),
+            "is_core": pa.array(g["is_core"].to_numpy(bool)),
+            "cluster_size": pa.array(size.to_numpy(np.int64))},
+            schema=_OUT_SCHEMA)
 
-    res_ds = out.map_batches(decode,
-                             batch_format="pyarrow").materialize()
+    res_ds = members.map_batches(bucketize_cl, batch_format="pyarrow") \
+        .groupby("_sb").map_groups(with_size, batch_format="pandas") \
+        .materialize()
     _MEMBERS_CACHE[ckey] = res_ds
     return res_ds
 
@@ -529,8 +530,7 @@ _STATS_SCHEMA = pa.schema([
 
 def geo_cluster_stats(data_dir: str, *, map_slug: str = "serbia_pbf",
                       eps_km: float = EPS_KM, min_pts: int = MIN_PTS,
-                      res: int = RES,
-                      group_res: int = GROUP_RES) -> pd.DataFrame:
+                      res: int = RES) -> pd.DataFrame:
     """Per-cluster summary of the DBSCAN agglomerations — point/core
     counts, centroid and exact bounding box (the settlement-region
     digest a map product ships instead of raw members).
@@ -545,7 +545,7 @@ def geo_cluster_stats(data_dir: str, *, map_slug: str = "serbia_pbf",
     the distributed join and aggregates in one pandas merge (the same
     hybrid rule as the clustering tail; identical arithmetic)."""
     members = geo_clusters(data_dir, map_slug=map_slug, eps_km=eps_km,
-                           min_pts=min_pts, res=res, group_res=group_res)
+                           min_pts=min_pts, res=res)
     members = members.materialize()
     if members.count() == 0:
         return _STATS_SCHEMA.empty_table().to_pandas()
@@ -827,8 +827,7 @@ def _diam_group(g: pd.DataFrame) -> pa.Table:
 
 def geo_cluster_diameter(data_dir: str, *, map_slug: str = "serbia_pbf",
                          eps_km: float = EPS_KM, min_pts: int = MIN_PTS,
-                         res: int = RES,
-                         group_res: int = GROUP_RES) -> pd.DataFrame:
+                         res: int = RES) -> pd.DataFrame:
     """Exact great-circle diameter of each DBSCAN agglomeration — the
     max pairwise 6-dp rounded distance among members, with the
     contributing pair decoded (tie -> lowest (node_a, node_b)).  The
@@ -843,7 +842,7 @@ def geo_cluster_diameter(data_dir: str, *, map_slug: str = "serbia_pbf",
     sum(n_c^2) over clusters, never corpus-pairs, and the driver sees
     #clusters rows."""
     members = geo_clusters(data_dir, map_slug=map_slug, eps_km=eps_km,
-                           min_pts=min_pts, res=res, group_res=group_res)
+                           min_pts=min_pts, res=res)
     if members.count() == 0:
         return _DIAM_SCHEMA.empty_table().to_pandas()
 
@@ -888,8 +887,7 @@ _RANGE_SCHEMA = pa.schema([
 
 
 def geo_range_join(data_dir: str, *, map_slug: str = "serbia_pbf",
-                   eps_km: float = RANGE_EPS_KM, res: int = RES,
-                   group_res: int = GROUP_RES) -> rd.Dataset:
+                   eps_km: float = RANGE_EPS_KM, res: int = RES) -> rd.Dataset:
     """Distance-band spatial self-join over the deduped named-CTV
     points: every pair of distinct named places within ``eps_km``
     (great-circle), emitted once (``node_a < node_b``) with the 6-dp
@@ -908,7 +906,7 @@ def geo_range_join(data_dir: str, *, map_slug: str = "serbia_pbf",
     by eps-density, never all-pairs, and the output streams (no
     driver-side pair list)."""
     mined = mined_eps_pairs(data_dir, map_slug=map_slug, eps_km=eps_km,
-                            res=res, group_res=group_res)
+                            res=res)
 
     def decode(b: pa.Table) -> pa.Table:
         t = b.filter(pc.less_equal(b["dist_km"], eps_km))
@@ -935,7 +933,6 @@ RIPLEY_BINS = (0.1, 0.2, 0.3, 0.4, 0.5)
 
 def ripley_k(data_dir: str, *, map_slug: str = "serbia_pbf",
              eps_km: float = EPS_KM, res: int = RES,
-             group_res: int = GROUP_RES,
              bins: tuple = RIPLEY_BINS) -> pd.DataFrame:
     """Ripley's K clustering curve over the deduped named-CTV points:
     for each radius r, the count of unordered point pairs within r
@@ -954,7 +951,7 @@ def ripley_k(data_dir: str, *, map_slug: str = "serbia_pbf",
     Nothing pair-shaped reaches the driver."""
     assert max(bins) <= eps_km, "bins beyond the mining eps see no pairs"
     mined = mined_eps_pairs(data_dir, map_slug=map_slug, eps_km=eps_km,
-                            res=res, group_res=group_res)
+                            res=res)
     edges = np.asarray(bins, dtype=np.float64)
 
     def partial(b: pa.Table) -> pa.Table:
@@ -1005,7 +1002,6 @@ def _node_values(data_dir: str, *, map_slug: str) -> tuple:
 
 def semivariogram(data_dir: str, *, map_slug: str = "serbia_pbf",
                   eps_km: float = EPS_KM, res: int = RES,
-                  group_res: int = GROUP_RES,
                   bins: tuple = VARIO_BINS) -> pd.DataFrame:
     """Empirical semivariogram of name length over the deduped
     named-CTV points: gamma(h) = sum (v_a - v_b)^2 / (2 * n_pairs)
@@ -1024,7 +1020,7 @@ def semivariogram(data_dir: str, *, map_slug: str = "serbia_pbf",
     reaches the driver."""
     assert max(bins) <= eps_km, "bins beyond the mining eps see no pairs"
     mined = mined_eps_pairs(data_dir, map_slug=map_slug, eps_km=eps_km,
-                            res=res, group_res=group_res)
+                            res=res)
     ref = ray.put(_node_values(data_dir, map_slug=map_slug))
     edges = np.asarray(bins, dtype=np.float64)
 
@@ -1071,8 +1067,7 @@ def semivariogram(data_dir: str, *, map_slug: str = "serbia_pbf",
 
 
 def nn_stats(data_dir: str, *, map_slug: str = "serbia_pbf",
-             eps_km: float = EPS_KM, res: int = RES,
-             group_res: int = GROUP_RES) -> pd.DataFrame:
+             eps_km: float = EPS_KM, res: int = RES) -> pd.DataFrame:
     """Nearest-neighbor distance statistics within the eps band over
     the deduped named-CTV points: each point's NN distance is the min
     6-dp rounded great-circle distance among its eps-pairs (points with
@@ -1090,7 +1085,7 @@ def nn_stats(data_dir: str, *, map_slug: str = "serbia_pbf",
     the float conversions happen once on the final row with the same
     expression tree as the oracle."""
     mined = mined_eps_pairs(data_dir, map_slug=map_slug, eps_km=eps_km,
-                            res=res, group_res=group_res)
+                            res=res)
 
     def both_dirs(b: pa.Table) -> pa.Table:
         t = b.filter(pc.less_equal(b["dist_km"], eps_km))

@@ -61,11 +61,6 @@ KDE_CUTOFF_KM = 60.0   # < 1.5 cell-heights (~117 km) => 3x3 cells cover
                        # every center within the cutoff (see kde_heatmap)
 
 
-def _decoded(data_dir: str) -> rd.Dataset:
-    ds = pipeline.read_documents(data_dir)
-    return ds.map_batches(pipeline.decode_and_index, batch_format="pyarrow")
-
-
 def _count_partial(batch: pa.Table) -> pa.Table:
     cells = batch["cell_id"].to_numpy(zero_copy_only=False)
     uniq, counts = np.unique(cells, return_counts=True)
@@ -135,7 +130,7 @@ def moran_i(data_dir: str) -> pd.DataFrame:
     exact Python ints (see module docstring).  S0 = 0 (no adjacent
     occupied cells) or a zero variance yields an empty result — both
     sides agree."""
-    counts = _cell_counts(_decoded(data_dir)).materialize()
+    counts = _cell_counts(pipeline.decoded(data_dir)).materialize()
     df = _neighbor_sums(counts, include_self=False)
     n = len(df)
     ns = [int(v) for v in df["n"].tolist()]
@@ -176,7 +171,7 @@ def gi_star(data_dir: str) -> pd.DataFrame:
     (zero variance, w_i = n, or n = 1) are filtered on BOTH sides
     rather than emitted as NULL.  Everything after the corpus pass is
     grid-bounded; z is 6-dp floor-rounded on both sides."""
-    counts = _cell_counts(_decoded(data_dir)).materialize()
+    counts = _cell_counts(pipeline.decoded(data_dir)).materialize()
     df = _neighbor_sums(counts, include_self=True)
     n = len(df)
     out_empty = pd.DataFrame({
@@ -224,7 +219,7 @@ def kde_heatmap(data_dir: str,
     (``floor(w*1e6+0.5)``) BEFORE the sum, so the distributed sums are
     exact integers on both sides regardless of order.  Per-batch
     pre-aggregation keeps the shuffle grid-bounded."""
-    ds = _decoded(data_dir)
+    ds = pipeline.decoded(data_dir)
 
     def partial(batch: pa.Table) -> pa.Table:
         lat = batch["lat"].to_numpy(zero_copy_only=False)
@@ -293,7 +288,7 @@ def kernel_surface(data_dir: str,
     width: micro_w <= 1e6 and val is a name length, so a cell needs
     ~9e9 named contributions to stress int64 — beyond that the bounded
     final reduce switches to Python ints like ``moran_i``."""
-    ds = _decoded(data_dir)
+    ds = pipeline.decoded(data_dir)
 
     def partial(batch: pa.Table) -> pa.Table:
         df_ok = batch.filter(batch["name"].is_valid())
@@ -406,7 +401,7 @@ def bearing_rose(data_dir: str) -> pd.DataFrame:
         return pa.table({"key": pa.array(uniq),
                          "n_docs": pa.array(counts.astype(np.int64))})
 
-    agg = (_decoded(data_dir)
+    agg = (pipeline.decoded(data_dir)
            .map_batches(partial, batch_format="pyarrow")
            .groupby("key").aggregate(_Sum("n_docs", alias_name="n_docs"))
            .to_pandas())
@@ -455,7 +450,7 @@ def hilbert_index(data_dir: str) -> pd.DataFrame:
     Shape: ONE corpus pass builds the grid-bounded count table; the
     curve transform is res integer bit-steps on that bounded table —
     nothing corpus-sized is touched again."""
-    counts = _cell_counts(_decoded(data_dir)).to_pandas()
+    counts = _cell_counts(pipeline.decoded(data_dir)).to_pandas()
     c = counts["cell_id"].to_numpy(np.int64)
     n = counts["n"].to_numpy(np.int64)
     hd = _hilbert_d(c % N_SIDE, c // N_SIDE, CELL_RES)

@@ -108,11 +108,7 @@ def write_cell_sorted(data_dir: str, out_dir: str,
     cell id): the decoded table globally sorted by Morton code — a Ray
     ``sort`` is a range-partition shuffle, so each output file covers a
     contiguous Z-order range and spatially close docs colocate."""
-    import ray.data as rd
-    ds = rd.read_parquet(os.path.join(data_dir, "docs"),
-                         columns=["doc_id", "spans"])
-    ds = ds.map_batches(pipeline.decode_and_index, batch_format="pyarrow")
-    ds = ds.sort("morton")
+    ds = pipeline.decoded(data_dir).sort("morton")
     if num_files:
         ds = ds.repartition(num_files)
     os.makedirs(out_dir, exist_ok=True)

@@ -27,7 +27,7 @@ import pyarrow as pa
 import ray.data as rd
 
 from . import widths
-from .pipeline import decode_and_index, read_documents
+from .pipeline import decoded
 
 try:                                 # pragma: no cover - not in sandbox
     from PIL import Image            # noqa: F401
@@ -76,8 +76,7 @@ def media_feature_batch(batch: pa.Table) -> pa.Table:
 
 def media_features(data_dir: str) -> rd.Dataset:
     """Every attached image span -> decoded metadata row (fake decoder)."""
-    ds = read_documents(data_dir)
-    ds = ds.map_batches(decode_and_index, batch_format="pyarrow")
+    ds = decoded(data_dir)
     return ds.map_batches(media_feature_batch, batch_format="pyarrow")
 
 
@@ -127,8 +126,7 @@ class MediaResize:
 def media_resize(data_dir: str, max_w: int = 256, max_h: int = 256,
                  concurrency: int = 2, batch_size: int = 4096) -> rd.Dataset:
     """Attached images → aspect-preserving thumbnail dims (actor pool)."""
-    ds = read_documents(data_dir)
-    ds = ds.map_batches(decode_and_index, batch_format="pyarrow")
+    ds = decoded(data_dir)
     return ds.map_batches(MediaResize, batch_format="pyarrow",
                           fn_constructor_kwargs={"max_w": max_w,
                                                  "max_h": max_h},
@@ -159,8 +157,7 @@ def frame_sample_batch(batch: pa.Table, every_s: int = 5) -> pa.Table:
 
 
 def media_frame_sample(data_dir: str, every_s: int = 5) -> rd.Dataset:
-    ds = read_documents(data_dir)
-    ds = ds.map_batches(decode_and_index, batch_format="pyarrow")
+    ds = decoded(data_dir)
     return ds.map_batches(frame_sample_batch, batch_format="pyarrow",
                           fn_kwargs={"every_s": every_s})
 
@@ -194,7 +191,6 @@ def media_dedup(data_dir: str) -> rd.Dataset:
             "doc_id": pa.array(d["min"].astype(str), type=pa.string()),
             "n_copies": pa.array(d["size"].to_numpy(np.int64))})
 
-    ds = read_documents(data_dir)
-    ds = ds.map_batches(decode_and_index, batch_format="pyarrow")
+    ds = decoded(data_dir)
     return ds.map_batches(keys, batch_format="pyarrow") \
         .groupby("mb").map_groups(combine, batch_format="pandas")

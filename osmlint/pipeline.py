@@ -4,7 +4,9 @@
 Physical shape (cf. the reference's one-OS-process-per-map execution,
 src/main.py:223-232 — here parallelism is per block, map identity is data):
 
-* documents are read with column pruning (doc_id, spans only);
+* ``decoded`` is the one decoded read of the document table: every
+  operator in the package takes its read → decode [→ dedup] [→ PIP]
+  prefix from it, with column pruning (doc_id, spans only) at the read;
 * decode + cell indexing are stateless ``map_batches`` tasks over zero-copy
   Arrow batches;
 * the PIP tile join and the check kernels are TASK-based ``map_batches``
@@ -76,7 +78,7 @@ def doc_partitions(data_dir: str) -> list[str]:
                   if d.startswith("map="))
 
 
-def read_documents(data_dir: str, *, coalesce: bool = True) -> rd.Dataset:
+def read_documents(data_dir: str) -> rd.Dataset:
     """Pruned read of the interleaved document table: ONLY the
     (doc_id, spans) columns leave storage.  The north-rule input format
     is a Lance table — when ``<data_dir>/docs.lance`` exists it is read
@@ -94,9 +96,9 @@ def read_documents(data_dir: str, *, coalesce: bool = True) -> rd.Dataset:
                 "in this environment; install pylance or materialize the "
                 "parquet mirror") from e
         return rd.read_lance(lance_path, columns=["doc_id", "spans"])
-    kw = {"override_num_blocks": read_blocks()} if coalesce else {}
     return rd.read_parquet(os.path.join(data_dir, "docs"),
-                           columns=["doc_id", "spans"], **kw)
+                           columns=["doc_id", "spans"],
+                           override_num_blocks=read_blocks())
 
 
 def decode_and_index(batch: pa.Table) -> pa.Table:
@@ -496,26 +498,25 @@ def broadcast_refs(data_dir: str) -> dict:
     return refs
 
 
-def flags_dataset(data_dir: str, *, partition: str | None = None,
-                  with_pip: bool = True, dedup: bool = True) -> rd.Dataset:
-    """The flagship lint pipeline as a lazy Dataset — the ONE definition
-    of decode → dedup → PIP → checks.
+def decoded(data_dir: str, *, partition: str | None = None,
+            dedup: bool = False, pip: bool = False) -> rd.Dataset:
+    """The decoded document table as a lazy Dataset — the ONE decoded
+    read of ``docs`` (``collision_keys`` keeps its own narrow key read)
+    and the one definition of read → decode [→ dedup] [→ PIP].
 
-    Dedup is a broadcast anti-join applied BEFORE the check kernels: the
-    collision table (small side) comes from a separate streaming narrow
-    pre-pass (``collision_keys`` — distributed bucket reduce, driver sees
-    only collisions), is broadcast, and applied as a vectorized filter —
-    the big stream itself never shuffles and is never materialized.
+    ``partition=None`` reads the whole table (``read_documents``: pruned,
+    coalesced to ``widths.read_blocks()``, Lance branch kept);
+    ``partition=<slug>`` is an uncoalesced read of that ``map=<slug>``
+    shard (the lineage unit of work, and the single-map operators).
 
-    ``partition`` restricts the chain to one ``map=<slug>`` shard (the
-    lineage unit of work): an uncoalesced read of that shard, deduped
-    against the whole-table collision table (its key never crosses shards).
+    ``dedup`` drops docs superseded last-wins (``dedup_filter``) against
+    the whole-table collision table — its key never crosses shards, so a
+    shard read dedups against it too, and a process builds it once.
+    ``pip`` appends the country / okrug tile assignment.
 
-    All stages are TASK-based ``map_batches`` with per-worker state caching
-    (``_cached``): Ray fuses the chain into one task per block, warm worker
-    processes reuse the built STRtree / lookup state, and no stage reserves
-    CPUs an upstream stage might starve for."""
-    refs = broadcast_refs(data_dir)
+    Every stage is a TASK-based ``map_batches`` (per-worker state via
+    ``_cached``), so Ray fuses the chain and whatever the caller appends
+    into one task per block; nothing here executes the Dataset."""
     if partition is None:
         ds = read_documents(data_dir)
     else:
@@ -526,14 +527,32 @@ def flags_dataset(data_dir: str, *, partition: str | None = None,
         coll_ref = collision_keys_ref(data_dir, doc_partitions(data_dir))
         ds = ds.map_batches(dedup_filter, batch_format="pyarrow",
                             fn_kwargs={"collisions_ref": coll_ref})
-    if with_pip:
+    if pip:
+        refs = broadcast_refs(data_dir)
         ds = ds.map_batches(pip_assign_batch, batch_format="pyarrow",
                             fn_kwargs={"countries_ref": refs["countries"],
                                        "tiles_ref": refs["tiles"]})
-    ds = ds.map_batches(flag_batch, batch_format="pyarrow",
-                        fn_kwargs={"wiki_ref_ref": refs["wiki_ref"],
-                                   "wikidata_ref_ref": refs["wikidata_ref"]})
     return ds
+
+
+def flags_dataset(data_dir: str, *,
+                  partition: str | None = None) -> rd.Dataset:
+    """The flagship lint pipeline as a lazy Dataset: the deduped,
+    PIP-assigned ``decoded`` table → checks.
+
+    Dedup is a broadcast anti-join applied BEFORE the check kernels: the
+    collision table (small side) comes from a separate streaming narrow
+    pre-pass (``collision_keys`` — distributed bucket reduce, driver sees
+    only collisions), is broadcast, and applied as a vectorized filter —
+    the big stream itself never shuffles and is never materialized.
+
+    ``partition`` restricts the chain to one ``map=<slug>`` shard (see
+    ``decoded``)."""
+    refs = broadcast_refs(data_dir)
+    return decoded(data_dir, partition=partition, dedup=True, pip=True) \
+        .map_batches(flag_batch, batch_format="pyarrow",
+                     fn_kwargs={"wiki_ref_ref": refs["wiki_ref"],
+                                "wikidata_ref_ref": refs["wikidata_ref"]})
 
 
 # ---------------------------------------------------------------------------

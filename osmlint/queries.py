@@ -57,14 +57,7 @@ def lint_flags_by_tile(sf_dir: str) -> pd.DataFrame:
     (tile, check) groupby — the corpus stream never shuffles."""
     d = _synth(sf_dir)
     refs = pipeline.broadcast_refs(d)
-    ds = pipeline.read_documents(d) \
-        .map_batches(pipeline.decode_and_index, batch_format="pyarrow")
-    coll_ref = pipeline.collision_keys_ref(d, pipeline.doc_partitions(d))
-    ds = ds.map_batches(pipeline.dedup_filter, batch_format="pyarrow",
-                        fn_kwargs={"collisions_ref": coll_ref})
-    ds = ds.map_batches(pipeline.pip_assign_batch, batch_format="pyarrow",
-                        fn_kwargs={"countries_ref": refs["countries"],
-                                   "tiles_ref": refs["tiles"]})
+    ds = pipeline.decoded(d, dedup=True, pip=True)
     wref, wdref = refs["wiki_ref"], refs["wikidata_ref"]
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -108,22 +101,10 @@ def lint_merge_overall(sf_dir: str) -> rd.Dataset:
     return pipeline.merge_overall(pipeline.flags_dataset(_synth(sf_dir)))
 
 
-def _decoded(data_dir: str, with_pip: bool) -> rd.Dataset:
-    ds = pipeline.read_documents(data_dir)
-    ds = ds.map_batches(pipeline.decode_and_index, batch_format="pyarrow")
-    if with_pip:
-        refs = pipeline.broadcast_refs(data_dir)
-        ds = ds.map_batches(
-            pipeline.pip_assign_batch, batch_format="pyarrow",
-            fn_kwargs={"countries_ref": refs["countries"],
-                       "tiles_ref": refs["tiles"]})
-    return ds
-
-
 def pip_tile_join(sf_dir: str) -> pd.DataFrame:
     """Docs per (country, okrug tile): STRtree PIP assignment + pre-aggregated
     count (combine inside map_batches, tiny global groupby)."""
-    ds = _decoded(_synth(sf_dir), with_pip=True)
+    ds = pipeline.decoded(_synth(sf_dir), pip=True)
 
     def partial(batch: pa.Table) -> pa.Table:
         df = batch.select(["country", "tile_name"]).to_pandas()
@@ -146,7 +127,7 @@ def geo_pip_gaps(sf_dir: str) -> pd.DataFrame:
     Same one-pass shape as ``cell_index``: the PIP stage flags rows
     in-batch, the anti side pre-aggregates per cell, one grid-bounded
     groupby."""
-    ds = _decoded(_synth(sf_dir), with_pip=True)
+    ds = pipeline.decoded(_synth(sf_dir), pip=True)
 
     def partial(batch: pa.Table) -> pa.Table:
         t = batch.filter(pc.is_null(batch["tile_name"]))
@@ -165,7 +146,7 @@ def geo_pip_gaps(sf_dir: str) -> pd.DataFrame:
 
 def cell_index(sf_dir: str) -> pd.DataFrame:
     """Docs per quad-cell at res 8 (the locality/shuffle key)."""
-    ds = _decoded(_synth(sf_dir), with_pip=False)
+    ds = pipeline.decoded(_synth(sf_dir))
 
     def partial(batch: pa.Table) -> pa.Table:
         cells = batch["cell_id"].to_numpy(zero_copy_only=False)
@@ -190,7 +171,7 @@ def cell_density_smooth(sf_dir: str) -> pd.DataFrame:
     the corpus) -> one more bounded groupby; reported for occupied
     cells only (a semi-join back against the count table)."""
     n_side = 1 << CELL_RES
-    ds = _decoded(_synth(sf_dir), with_pip=False)
+    ds = pipeline.decoded(_synth(sf_dir))
 
     def partial(batch: pa.Table) -> pa.Table:
         cells = batch["cell_id"].to_numpy(zero_copy_only=False)
@@ -244,7 +225,7 @@ def cell_pyramid(sf_dir: str) -> pd.DataFrame:
     corpus, and its output is capped by the fixed grid."""
     from . import geo
     res0 = CELL_RES
-    ds = _decoded(_synth(sf_dir), with_pip=False)
+    ds = pipeline.decoded(_synth(sf_dir))
 
     def partial(batch: pa.Table) -> pa.Table:
         cells = batch["cell_id"].to_numpy(zero_copy_only=False)
@@ -354,7 +335,7 @@ def nearest_tile(sf_dir: str) -> rd.Dataset:
     clon = ((tiles["minlon"] + tiles["maxlon"]) / 2.0) \
         .to_numpy(np.float64)
     names = tiles["tile_name"].astype(str).tolist()
-    ds = _decoded(d, with_pip=False)
+    ds = pipeline.decoded(d)
     return ds.map_batches(
         geo.nearest_tile_batch, batch_format="pyarrow",
         fn_kwargs={"centers_lat": clat, "centers_lon": clon,
@@ -826,14 +807,10 @@ def _rule_query(slug: str):
     """Data-driven rule (sparql re-expression) over the serbia shard:
     decode -> vectorized rule kernel (mask + transliteration projection)."""
     def run(sf_dir: str) -> rd.Dataset:
-        import os
-
         from . import rules
         d = _synth(sf_dir)
         rule = rules.RULES_BY_SLUG[slug]
-        ds = rd.read_parquet(os.path.join(d, "docs", "map=serbia_pbf"),
-                             columns=["doc_id", "spans"])
-        ds = ds.map_batches(pipeline.decode_and_index, batch_format="pyarrow")
+        ds = pipeline.decoded(d, partition="serbia_pbf")
 
         def apply(batch: pa.Table) -> pa.Table:
             out = rule.apply(batch.to_pandas())

@@ -26,11 +26,6 @@ from ray.data.aggregate import Sum
 from . import caches, pipeline
 
 
-def _decoded(data_dir: str) -> rd.Dataset:
-    ds = pipeline.read_documents(data_dir)
-    return ds.map_batches(pipeline.decode_and_index, batch_format="pyarrow")
-
-
 _BAND_CACHE: dict = caches.register({})
 
 
@@ -51,7 +46,7 @@ def rasterize(data_dir: str, *, use_cache: bool = True) -> pd.DataFrame:
         uniq, counts = np.unique(cells, return_counts=True)
         return pa.table({"cell_id": pa.array(uniq, type=pa.int64()),
                          "n": pa.array(counts, type=pa.int64())})
-    parts = _decoded(data_dir).map_batches(
+    parts = pipeline.decoded(data_dir).map_batches(
         partial, batch_format="pyarrow").to_pandas()
     band = parts.groupby("cell_id", as_index=False)["n"].sum()
     band = band.rename(columns={"n": "density"})
@@ -76,7 +71,7 @@ def sample(data_dir: str) -> rd.Dataset:
             "cell_id": batch["cell_id"],
             "density": pa.array(dens, type=pa.int64())})
 
-    return _decoded(data_dir).map_batches(
+    return pipeline.decoded(data_dir).map_batches(
         gather, batch_format="pyarrow", fn_kwargs={"band_ref": band_ref})
 
 
@@ -86,7 +81,6 @@ def zonal_stats(data_dir: str) -> pd.DataFrame:
     no rounding needed)."""
     band = rasterize(data_dir)
     band_ref = ray.put(band.set_index("cell_id")["density"])
-    refs = pipeline.broadcast_refs(data_dir)
 
     def partial(batch: pa.Table, band_ref) -> pa.Table:
         b = pipeline._resolve(band_ref)
@@ -98,12 +92,9 @@ def zonal_stats(data_dir: str) -> pd.DataFrame:
             n=("density", "size"), s=("density", "sum"))
         return pipeline.to_arrow(g)
 
-    ds = _decoded(data_dir).map_batches(
-        pipeline.pip_assign_batch, batch_format="pyarrow",
-        fn_kwargs={"countries_ref": refs["countries"],
-                   "tiles_ref": refs["tiles"]})
-    parts = ds.map_batches(partial, batch_format="pyarrow",
-                           fn_kwargs={"band_ref": band_ref}).to_pandas()
+    parts = pipeline.decoded(data_dir, pip=True).map_batches(
+        partial, batch_format="pyarrow",
+        fn_kwargs={"band_ref": band_ref}).to_pandas()
     out = parts.groupby("tile_name", as_index=False)[["n", "s"]].sum()
     out["n_docs"] = out["n"].astype(np.int64)
     out["mean_density"] = out["s"] / out["n"]
@@ -137,7 +128,7 @@ def band_at(data_dir: str, res: int) -> pd.DataFrame:
         uniq, counts = np.unique(cells, return_counts=True)
         return pa.table({"cell_id": pa.array(uniq, type=pa.int64()),
                          "n": pa.array(counts, type=pa.int64())})
-    parts = _decoded(data_dir).map_batches(
+    parts = pipeline.decoded(data_dir).map_batches(
         partial, batch_format="pyarrow").to_pandas()
     band = parts.groupby("cell_id", as_index=False)["n"].sum()
     band = band.rename(columns={"n": "density"})

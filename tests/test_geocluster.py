@@ -6,6 +6,7 @@ import duckdb
 import numpy as np
 import pandas as pd
 import pytest
+import ray.data as rd
 
 from osmlint import geo, geocluster, oracle_sql, synth
 
@@ -260,3 +261,50 @@ def test_diam_hull_hemisphere_fallback():
     lon = np.array([0.0, 60.0, 20.0])
     node = np.array([1, 2, 3], dtype=np.int64)
     assert geocluster._diam_hull(node, lat, lon) is None
+
+
+def _ladder(n_nodes: int, base: int) -> list:
+    """One core chain: node i linked to i+1, i+2 and i+3 (node ids are
+    the ``osm_id*4 + etype`` encoding, all entity type ``node``)."""
+    ids = (base + np.arange(n_nodes, dtype=np.int64)) * 4
+    return [(ids[i], ids[j]) for i in range(n_nodes)
+            for j in range(i + 1, min(i + 4, n_nodes))]
+
+
+def _leaves(n_leaves: int, base: int, anchors: np.ndarray) -> list:
+    """Border points: each leaf linked to one core node only."""
+    return [(int(a), (base + k) * 4) for k, a in enumerate(anchors[:n_leaves])]
+
+
+@pytest.mark.parametrize("shape", ["ladder3000_borders", "two700_borders"])
+def test_distributed_sizes_match_local_on_wide_clusters(result, monkeypatch,
+                                                        shape):
+    """Few clusters with many members each: the distributed tail's
+    cluster sizes equal the local tail's, with the broadcast core-flag
+    path and with the join path.  A hash join of members against the
+    per-cluster counts broke on these shapes (too few distinct clusters
+    for its partitions)."""
+    d, _ = result
+    if shape == "ladder3000_borders":
+        edges = _ladder(3000, 10_000) + _leaves(
+            50, 100_000, (10_000 + np.arange(0, 3000, 60)) * 4)
+    else:
+        edges = []
+        for c in range(2):
+            edges += _ladder(700, 10_000 + 5_000 * c)
+            edges += _leaves(20, 100_000 + 1_000 * c,
+                             (10_000 + 5_000 * c + np.arange(0, 700, 35)) * 4)
+    a, b = np.array(edges, dtype=np.int64).T
+    pairs = pd.DataFrame({"doc_a": np.minimum(a, b),
+                          "doc_b": np.maximum(a, b),
+                          "dist_km": 0.1, "raw_ok": True})
+    monkeypatch.setattr(geocluster, "mined_eps_pairs",
+                        lambda *_a, **_k: rd.from_pandas(pairs))
+    want = geocluster._local_members(pairs, geocluster.MIN_PTS)
+    for ceiling in (geocluster.BROADCAST_MAX, 0):
+        monkeypatch.setattr(geocluster, "BROADCAST_MAX", ceiling)
+        geocluster._MEMBERS_CACHE.clear()   # knobs aren't in the cache key
+        got = geocluster.geo_clusters(d, small_threshold=0).to_pandas() \
+            .sort_values(["osm_id", "entity_type"]).reset_index(drop=True)
+        pd.testing.assert_frame_equal(want, got, check_dtype=False)
+    geocluster._MEMBERS_CACHE.clear()
