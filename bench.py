@@ -150,14 +150,14 @@ def _scaling_inner(num_cpus: int) -> dict:
     best, rows = None, 0
     import osmlint
     for _ in range(2):
-        # measure the FULL pipeline every trial: the registered in-memory
-        # caches (collision table, broadcast refs, raster band) would
+        # measure the FULL pipeline every trial: the in-process memo
+        # (collision table ref, broadcast refs, raster band) would
         # otherwise let trial 2 skip the dedup pre-pass.  The flagship
         # touches no disk checkpoints (those are shingle-family only and
         # cleared via clear_caches(purge_disk=True) when needed).  One
-        # public clear — a registry tripwire test asserts every module
-        # cache dict is registered, so a future cache can't quietly
-        # inflate efficiency.
+        # public clear — a tripwire test asserts no module but
+        # osmlint/caches.py holds a cache dict, so a future cache can't
+        # quietly inflate efficiency.
         osmlint.clear_caches()
         t0 = _t.time()
         rows = pipeline.flags_dataset(d).count()
@@ -193,7 +193,7 @@ def main():
 
         import osmlint
         from osmlint import caches, textops
-        # a PRIVATE fresh checkpoint root: the registered purgers only
+        # a PRIVATE fresh checkpoint root: the purgers only
         # delete dirs this process created/reused, so a stale shared
         # /tmp root from an earlier run would silently warm the "cold"
         # sweep

@@ -1,12 +1,16 @@
 # -*- coding: utf-8 -*-
-"""Process-lifetime cache registry, content fingerprints, and the one
-atomic publish for every on-disk artifact.
+"""The one in-process memo, content fingerprints, and the one atomic
+publish for every on-disk artifact.
 
-Every module-level cache in the engine (collision tables, broadcast ref
-handles, raster bands, checkpoint handles) registers itself here, so
+Every in-memory cache in the engine (the broadcast collision table and
+lookup refs, materialized Datasets, raster bands, per-worker stage state,
+loaded checkpoints) is an entry of ``memo``: one dict, scoped to the Ray
+session, so
 
 * ``clear_caches()`` is the ONE public reset callers (bench --scaling,
-  notebooks) use instead of reaching into module privates, and
+  notebooks) use instead of reaching into module privates,
+* an ObjectRef or a materialized Dataset never outlives the session it
+  was made in, and
 * cache keys carry a CONTENT FINGERPRINT (file sizes + mtimes), so an
   input dir regenerated in-place at the same path can never serve stale
   entries.
@@ -22,18 +26,49 @@ from __future__ import annotations
 
 import os
 
-_REGISTRY: list[dict] = []
+#: key -> value of every in-process cache, valid for the session ``_token``
+_MEMO: dict = {}
+_token = None
 
 
-def register(cache: dict) -> dict:
-    """Register a module-level cache dict; returns it for inline use:
-    ``_MY_CACHE = caches.register({})``."""
-    _REGISTRY.append(cache)
-    return cache
+def _session():
+    """The live Ray session as (node id, job id), or ``None`` when Ray is
+    down.  The job id alone is not enough: a local ``ray.init`` after
+    ``ray.shutdown`` starts a new node whose first job id is the old one
+    again; a reconnect to a running cluster keeps the node and moves the
+    job id."""
+    import ray
+    if not ray.is_initialized():
+        return None
+    ctx = ray.get_runtime_context()
+    return ctx.get_node_id(), ctx.get_job_id()
 
 
-def registered() -> list[dict]:
-    return list(_REGISTRY)
+def _sync() -> None:
+    """Empty the memo if the session changed since it was last written."""
+    global _token
+    tok = _session()
+    if tok != _token:
+        _MEMO.clear()
+        _token = tok
+
+
+def memo(key: tuple, build):
+    """``build()``'s value for ``key``, built once per Ray session.
+
+    ``key`` starts with a tag naming the cache and must cover every input
+    the value depends on (a path's ``path_fingerprint``, parameters).
+    The memo empties itself when the session changes, so entries holding
+    ObjectRefs or materialized Datasets die with their session.  The
+    entry is written after ``build()`` returns: a build that starts Ray
+    (``ray.put`` auto-inits it) is stored under the new session."""
+    _sync()
+    if key in _MEMO:
+        return _MEMO[key]
+    value = build()
+    _sync()
+    _MEMO[key] = value
+    return value
 
 
 def ckpt_root() -> str:
@@ -127,10 +162,8 @@ def publish(out: str, write, *, replace: bool = False) -> str:
     return out
 
 
-#: full key -> (sealed dir, what ``checkpoint`` returns for it) of every
-#: checkpoint this process created or reused; the dir set is what
+#: every checkpoint dir this process created or reused: what
 #: ``clear_caches(purge_disk=True)`` deletes
-_CKPT: dict = register({})
 _CKPT_DIRS: set = set()
 
 
@@ -147,18 +180,16 @@ def _purge_checkpoints() -> None:
 _PURGERS: list = [_purge_checkpoints]
 
 
-def clear_caches(purge_disk: bool = False) -> int:
-    """Empty every registered cache; returns how many dicts were cleared.
-    ``purge_disk=True`` additionally deletes the on-disk checkpoints (for
-    benchmarks that must measure genuinely cold runs of checkpoint-backed
-    operators).  In-memory clearing never touches disk: a content-keyed
-    checkpoint is a resume point, correct to reuse."""
-    for c in _REGISTRY:
-        c.clear()
+def clear_caches(purge_disk: bool = False) -> None:
+    """Empty the in-process memo.  ``purge_disk=True`` additionally
+    deletes the on-disk checkpoints (for benchmarks that must measure
+    genuinely cold runs of checkpoint-backed operators).  In-memory
+    clearing never touches disk: a content-keyed checkpoint is a resume
+    point, correct to reuse."""
+    _MEMO.clear()
     if purge_disk:
         for fn in _PURGERS:
             fn()
-    return len(_REGISTRY)
 
 
 def checkpoint(slug: str, key: tuple, write, load=None):
@@ -172,20 +203,21 @@ def checkpoint(slug: str, key: tuple, write, load=None):
     shapes the output.
 
     Returns the dir, or ``load(out)`` when ``load`` is given
-    (``dataset_checkpoint`` reads its Dataset back); either is held in
-    the one in-memory map, so ``load`` runs once per key per process."""
+    (``dataset_checkpoint`` reads its Dataset back); the loaded value is
+    memoized, so ``load`` runs once per sealed dir per session."""
     import hashlib
     full_key = (slug,) + tuple(key)
-    hit = _CKPT.get(full_key)
-    if hit is None or not sealed(hit[0]):
-        out = os.path.join(
-            ckpt_root(),
-            f"{slug}_" + hashlib.md5(repr(full_key).encode()).hexdigest())
-        if not sealed(out):
-            publish(out, write)
-        hit = _CKPT[full_key] = (out, out if load is None else load(out))
-        _CKPT_DIRS.add(out)
-    return hit[1]
+    out = os.path.join(
+        ckpt_root(),
+        f"{slug}_" + hashlib.md5(repr(full_key).encode()).hexdigest())
+    if not sealed(out):
+        # purged or torn: whatever was loaded from it is gone too
+        _MEMO.pop(("checkpoint", out), None)
+        publish(out, write)
+    _CKPT_DIRS.add(out)
+    if load is None:
+        return out
+    return memo(("checkpoint", out), lambda: load(out))
 
 
 #: bump when the ``dataset_checkpoint`` layout changes — part of the key,

@@ -36,12 +36,6 @@ import ray.data as rd
 from . import caches, geo, widths
 from .pipeline import decoded, to_arrow
 
-#: process-lifetime cache of the materialized named-CTV projection —
-#: shared by knn_dup_names and geocluster.geo_clusters, which the driver
-#: runs back-to-back in one process; content-fingerprinted like every
-#: registered cache so an in-place regeneration can't serve stale data
-_NAMED_CACHE: dict = caches.register({})
-
 DEFAULT_RES = 12          # 2^12 grid: ~4.9 km cell height > radius 2 km
 DEFAULT_RADIUS_KM = 2.0
 
@@ -135,13 +129,18 @@ def named_ctv_deduped(data_dir: str, *,
     oracle's deduped `named` CTE (ADVICE r1).  Nothing lands on the
     driver.  Returns the MATERIALIZED projection — a sliver of the input
     (5 narrow columns of the city/town/village subset), pinned so
-    downstream passes don't re-run the decode+dedup lineage — cached for
-    the process lifetime under a content fingerprint."""
+    downstream passes don't re-run the decode+dedup lineage — memoized
+    for the Ray session under a content fingerprint, so ``dup_name_pairs``
+    and ``geocluster.geo_clusters``, which the driver runs back-to-back,
+    share it."""
     import os
     shard = os.path.join(data_dir, "docs", f"map={map_slug}")
-    key = (shard, caches.path_fingerprint(shard))
-    if key in _NAMED_CACHE:
-        return _NAMED_CACHE[key]
+    return caches.memo(
+        ("named_ctv_deduped", shard, caches.path_fingerprint(shard)),
+        lambda: _named_ctv_deduped(data_dir, map_slug))
+
+
+def _named_ctv_deduped(data_dir: str, map_slug: str) -> rd.Dataset:
     # read ONLY the target map shard (hive pruning at the read)
     ds = decoded(data_dir, partition=map_slug)
 
@@ -162,10 +161,8 @@ def named_ctv_deduped(data_dir: str, *,
         g = g.drop_duplicates("doc_id", keep="last")
         return to_arrow(g, NAMED_SCHEMA)
 
-    out = ds.repartition(widths.shuffle_blocks()).groupby("_b").map_groups(
+    return ds.repartition(widths.shuffle_blocks()).groupby("_b").map_groups(
         dedup_group, batch_format="pandas").materialize()
-    _NAMED_CACHE[key] = out
-    return out
 
 
 def dup_name_pairs(data_dir: str, *, map_slug: str = "serbia_pbf",

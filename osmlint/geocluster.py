@@ -69,13 +69,6 @@ import ray.data as rd
 
 from . import caches, geo, graph, widths
 from .dupnames import named_ctv_deduped
-from .pipeline import to_arrow
-
-#: process-lifetime cache of the MATERIALIZED cluster-member table —
-#: ``geo_clusters`` and ``geo_cluster_stats`` run back-to-back in the
-#: driver's sweep and share the whole DBSCAN lineage; fingerprint-keyed
-#: like the named-CTV projection cache.
-_MEMBERS_CACHE: dict = caches.register({})
 
 EPS_KM = 0.5
 MIN_PTS = 4
@@ -339,9 +332,10 @@ def geo_clusters(data_dir: str, *, map_slug: str = "serbia_pbf",
     """DBSCAN over the deduped named-CTV points of one map shard ->
     ``(osm_id, entity_type, cluster_id, is_core, cluster_size)`` for
     clustered points (noise dropped); ``cluster_id`` is the minimum
-    CORE member's node encoding.  The materialized result is cached for
-    the process lifetime (fingerprint-keyed) — ``geo_cluster_stats``
-    shares the whole DBSCAN lineage.
+    CORE member's node encoding.  The materialized result is memoized
+    for the Ray session (fingerprint-keyed): ``geo_cluster_stats``, which
+    the driver's sweep runs right after, shares the whole DBSCAN
+    lineage.
 
     Hybrid tail, same thresholds as ``graph.cluster_labels``: at or
     under ``small_threshold`` eps-pairs the degree/core/closure/border
@@ -352,10 +346,15 @@ def geo_clusters(data_dir: str, *, map_slug: str = "serbia_pbf",
     shard = os.path.join(data_dir, "docs", f"map={map_slug}")
     if small_threshold is None:
         small_threshold = SMALL_PAIRS
-    ckey = (shard, caches.path_fingerprint(shard), map_slug,
-            eps_km, min_pts, res, small_threshold == 0)
-    if ckey in _MEMBERS_CACHE:
-        return _MEMBERS_CACHE[ckey]
+    return caches.memo(
+        ("geo_clusters", shard, caches.path_fingerprint(shard), map_slug,
+         eps_km, min_pts, res, small_threshold == 0),
+        lambda: _members(data_dir, map_slug, eps_km, min_pts, res,
+                         small_threshold))
+
+
+def _members(data_dir: str, map_slug: str, eps_km: float, min_pts: int,
+             res: int, small_threshold: int) -> rd.Dataset:
     pairs = mined_eps_pairs(data_dir, map_slug=map_slug, eps_km=eps_km,
                             res=res) \
         .map_batches(
@@ -364,15 +363,11 @@ def geo_clusters(data_dir: str, *, map_slug: str = "serbia_pbf",
         .materialize()
     n_pairs = pairs.count()
     if n_pairs == 0:
-        out = rd.from_arrow(_OUT_SCHEMA.empty_table())
-        _MEMBERS_CACHE[ckey] = out
-        return out
+        return rd.from_arrow(_OUT_SCHEMA.empty_table())
     if n_pairs <= small_threshold:
         mem = _local_members(pairs.to_pandas(), min_pts)
-        out = rd.from_arrow(_OUT_SCHEMA.empty_table()) if mem.empty \
+        return rd.from_arrow(_OUT_SCHEMA.empty_table()) if mem.empty \
             else rd.from_pandas(mem).materialize()
-        _MEMBERS_CACHE[ckey] = out
-        return out
 
     deg = _count_reduce(pairs.map_batches(_endpoints,
                                           batch_format="pyarrow"),
@@ -382,9 +377,7 @@ def geo_clusters(data_dir: str, *, map_slug: str = "serbia_pbf",
         .select(["node"]), batch_format="pyarrow").materialize()
     n_core = core.count()
     if n_core == 0:
-        out = rd.from_arrow(_OUT_SCHEMA.empty_table())
-        _MEMBERS_CACHE[ckey] = out
-        return out
+        return rd.from_arrow(_OUT_SCHEMA.empty_table())
 
     # --- core flags on pairs: broadcast membership or distributed joins
     if n_core <= BROADCAST_MAX:
@@ -513,11 +506,9 @@ def geo_clusters(data_dir: str, *, map_slug: str = "serbia_pbf",
             "cluster_size": pa.array(size.to_numpy(np.int64))},
             schema=_OUT_SCHEMA)
 
-    res_ds = members.map_batches(bucketize_cl, batch_format="pyarrow") \
+    return members.map_batches(bucketize_cl, batch_format="pyarrow") \
         .groupby("_sb").map_groups(with_size, batch_format="pandas") \
         .materialize()
-    _MEMBERS_CACHE[ckey] = res_ds
-    return res_ds
 
 
 _STATS_SCHEMA = pa.schema([

@@ -38,7 +38,7 @@ from ray.data.aggregate import Sum
 from . import caches
 from . import checks as checks_mod
 from . import config as config_mod
-from . import geo, schema, spans, synth, widths
+from . import geo, schema, spans, widths
 from .widths import read_blocks
 
 CELL_RES = 8  # quad-cell resolution for locality/grouping (≈0.17° cells)
@@ -114,8 +114,9 @@ def decode_and_index(batch: pa.Table) -> pa.Table:
 
 
 class PipAssign:
-    """Actor-pool stage: STRtree point-in-polygon assignment of each doc to
-    a country polygon (priority order, first wins) and an okrug tile."""
+    """STRtree point-in-polygon assignment of each doc to a country polygon
+    (priority order, first wins) and an okrug tile; built once per worker
+    by ``pip_assign_batch``, a task-based ``map_batches`` stage."""
 
     def __init__(self, countries_ref, tiles_ref):
         countries = _resolve(countries_ref)
@@ -148,13 +149,14 @@ class PipAssign:
 
 
 class FlagStage:
-    """Actor-pool stage: run every configured map-check suite that reads this
-    batch's map partition; emit flags rows (result model src/engine.py:62-86)."""
+    """Run every configured map-check suite that reads this batch's map
+    partition; emit flags rows (result model src/engine.py:62-86).  Built
+    once per worker by ``flag_batch``, a task-based ``map_batches`` stage."""
 
     def __init__(self, wiki_ref_ref=None, wikidata_ref_ref=None, map_checks=None):
         wiki_ref = _resolve(wiki_ref_ref)
         wikidata_ref = _resolve(wikidata_ref_ref)
-        # index lookup tables ONCE per actor/worker; batches only hash-probe
+        # index lookup tables ONCE per worker; batches only hash-probe
         self.wiki_ref = (wiki_ref.drop_duplicates("title").set_index("title")
                          if wiki_ref is not None else None)
         self.wikidata_ref = (wikidata_ref.set_index("qid")
@@ -207,12 +209,6 @@ class FlagStage:
         return to_arrow(self.flags_for(df), schema.FLAGS)
 
 
-# Per-worker-process state cache.  Keyed by broadcast-ref identity, so it
-# can never serve state for regenerated inputs (new input ⇒ new ref ⇒ new
-# key); registered anyway so clear_caches() covers every cache dict.
-_WORKER_CACHE: dict = caches.register({})
-
-
 def _cached(tag: str, refs: tuple, builder):
     """Per-worker-process state cache.  Task-based stages + this cache give
     actor-pool state reuse (build once per process) without actor-pool
@@ -223,14 +219,13 @@ def _cached(tag: str, refs: tuple, builder):
     in-process path passes DataFrames) is keyed by ``id()`` — never by
     ``str()``, which formats the whole frame and prints two long frames
     that differ only in middle rows identically — and is pinned in the
-    cached value so its id cannot be reused while the entry lives."""
-    key = (tag,) + tuple(str(r) if isinstance(r, ray.ObjectRef) else id(r)
-                         for r in refs)
-    hit = _WORKER_CACHE.get(key)
-    if hit is None:
-        pinned = [r for r in refs if not isinstance(r, ray.ObjectRef)]
-        hit = _WORKER_CACHE[key] = (builder(), pinned)
-    return hit[0]
+    cached value so its id cannot be reused while the entry lives.  Keyed
+    by input identity, the entry can never serve state for regenerated
+    inputs (new input ⇒ new ref ⇒ new key)."""
+    key = ("stage", tag) + tuple(
+        str(r) if isinstance(r, ray.ObjectRef) else id(r) for r in refs)
+    return caches.memo(key, lambda: (builder(), [
+        r for r in refs if not isinstance(r, ray.ObjectRef)]))[0]
 
 
 def pip_assign_batch(batch: pa.Table, countries_ref, tiles_ref) -> pa.Table:
@@ -370,11 +365,7 @@ def _dup_in_bucket(t: pa.Table) -> pa.Table:
                      "max_seq": pa.array(mx[dup], type=pa.int64())})
 
 
-_COLLISION_CACHE: dict = caches.register({})
-
-
-def collision_keys(data_dir: str, slugs: list[str],
-                   *, fingerprint: tuple | None = None) -> pd.DataFrame:
+def collision_keys(data_dir: str, slugs: list[str]) -> pd.DataFrame:
     """The SMALL side of the last-wins dedup: (map_slug, osm_id, max_seq)
     for entity ids occurring more than once within a map partition
     (reference keys its accumulator by bare id, last write wins —
@@ -388,18 +379,10 @@ def collision_keys(data_dir: str, slugs: list[str],
     stream is neither shuffled nor materialized (re-reading the pruned
     parquet beats pinning the whole decode in the object store at scale).
 
-    The (tiny) result is cached per immutable input dir: chained queries
-    (flags -> summary -> merge -> fix_plan) and every lineage shard (the
-    key never crosses a shard) pay for the pre-pass once per process."""
+    Every call runs the pre-pass; the engine reads the table through
+    ``collision_keys_ref``, which memoizes its broadcast."""
     slug2code = {s: i for i, s in enumerate(slugs)}
     path = os.path.join(data_dir, "docs")
-    # callers that already walked the tree pass the fingerprint down —
-    # one stat-walk per call, not two
-    fp = fingerprint or caches.path_fingerprint(path)
-    ck = (path, fp, tuple(slugs))
-    cached = _COLLISION_CACHE.get(ck)
-    if cached is not None:
-        return cached
     ds = rd.read_parquet(path, columns=["doc_id", "spans"],
                          override_num_blocks=widths.collision_read_blocks())
     parts = ds.map_batches(_collision_proj, batch_format="pyarrow",
@@ -412,39 +395,29 @@ def collision_keys(data_dir: str, slugs: list[str],
         _dup_in_bucket, batch_format="pyarrow").to_pandas()
     inv = {i: s_ for s_, i in slug2code.items()}
     kk = dups["key"].to_numpy() if len(dups) else np.array([], dtype=np.int64)
-    out = pd.DataFrame({
+    return pd.DataFrame({
         "map_slug": pd.Series([inv[c] for c in (kk >> 44)], dtype=object),
         "osm_id": kk & ((np.int64(1) << 44) - 1),
         "max_seq": (dups["max_seq"].to_numpy() if len(dups)
                     else np.array([], dtype=np.int64))})
-    _COLLISION_CACHE[ck] = out
-    return out
 
 
-_COLLISION_REF_CACHE: dict = caches.register({})
+def collision_keys_ref(data_dir: str):
+    """Broadcast ObjectRef of the whole-table collision table, memoized
+    per (docs dir, fingerprint) for the Ray session: chained queries
+    (flags -> summary -> merge -> fix_plan) and every lineage shard (the
+    key never crosses a shard) share one pre-pass per process.
 
-
-def collision_keys_ref(data_dir: str, slugs: list[str]):
-    """Broadcast ObjectRef of the collision table, cached per (path, slugs,
-    session).  The pre-pass runs SYNCHRONOUSLY on the driver before the
-    main pass: an overlapped variant (zero-CPU task + per-batch ray.get)
-    was measured 30% slower at 32 CPUs (executor contention) and let the
+    The pre-pass runs SYNCHRONOUSLY on the driver before the main pass:
+    an overlapped variant (zero-CPU task + per-batch ray.get) was
+    measured 30% slower at 32 CPUs (executor contention) and let the
     nested execution ride the blocked-task CPU release at small
     num_cpus — the sequential two-pass shape is both faster at real
     parallelism and honest under resource accounting."""
     path = os.path.join(data_dir, "docs")
-    fp = caches.path_fingerprint(path)
-    key = (path, fp, tuple(slugs),
-           _ray_session_key() if ray.is_initialized() else None)
-    if key[-1] is not None:
-        ref = _COLLISION_REF_CACHE.get(key)
-        if ref is not None:
-            return ref
-    ref = ray.put(collision_keys(data_dir, slugs, fingerprint=fp))
-    key = key[:-1] + (_ray_session_key() if ray.is_initialized() else None,)
-    if key[-1] is not None:
-        _COLLISION_REF_CACHE[key] = ref
-    return ref
+    return caches.memo(
+        ("collision_keys_ref", path, caches.path_fingerprint(path)),
+        lambda: ray.put(collision_keys(data_dir, doc_partitions(data_dir))))
 
 
 def dedup_filter(batch: pa.Table, collisions_ref) -> pa.Table:
@@ -464,38 +437,21 @@ def dedup_filter(batch: pa.Table, collisions_ref) -> pa.Table:
     return batch.filter(pa.array(keep))
 
 
-_REFS_CACHE: dict = caches.register({})
-
-
-def _ray_session_key():
-    """Object refs die with the Ray session: key caches by job id so a
-    shutdown + re-init in the same process never serves dead refs."""
-    try:
-        return ray.get_runtime_context().get_job_id()
-    except Exception:
-        return None
-
-
 def broadcast_refs(data_dir: str) -> dict:
-    """Broadcast lookup tables, cached per (immutable) input dir and Ray
-    session: chained queries over the same dir reuse one set of
-    object-store refs instead of re-reading + re-putting per pipeline.
-    Never cached while Ray is uninitialized (the session key would be
-    ambiguous and refs die with sessions)."""
-    sess = _ray_session_key() if ray.is_initialized() else None
-    key = (data_dir, caches.path_fingerprint(data_dir), sess)
-    if sess is not None:
-        cached = _REFS_CACHE.get(key)
-        if cached is not None:
-            return cached
-    import pyarrow.parquet as pq
-    refs = {}
-    for name in ("wiki_ref", "wikidata_ref", "tiles", "countries"):
-        df = pq.read_table(os.path.join(data_dir, f"{name}.parquet")).to_pandas()
-        refs[name] = ray.put(df)          # auto-inits Ray if needed
-    if sess is not None:
-        _REFS_CACHE[key] = refs
-    return refs
+    """Broadcast lookup tables, memoized per (immutable) input dir for the
+    Ray session: chained queries over the same dir reuse one set of
+    object-store refs instead of re-reading + re-putting per pipeline."""
+    def build() -> dict:
+        import pyarrow.parquet as pq
+        # ray.put starts Ray if it is down; the memo then keys the refs
+        # to that new session
+        return {name: ray.put(pq.read_table(
+                    os.path.join(data_dir, f"{name}.parquet")).to_pandas())
+                for name in ("wiki_ref", "wikidata_ref", "tiles",
+                             "countries")}
+    return caches.memo(
+        ("broadcast_refs", data_dir, caches.path_fingerprint(data_dir)),
+        build)
 
 
 def decoded(data_dir: str, *, partition: str | None = None,
@@ -524,7 +480,7 @@ def decoded(data_dir: str, *, partition: str | None = None,
         ds = rd.read_parquet(shard, columns=["doc_id", "spans"])
     ds = ds.map_batches(decode_and_index, batch_format="pyarrow")
     if dedup:
-        coll_ref = collision_keys_ref(data_dir, doc_partitions(data_dir))
+        coll_ref = collision_keys_ref(data_dir)
         ds = ds.map_batches(dedup_filter, batch_format="pyarrow",
                             fn_kwargs={"collisions_ref": coll_ref})
     if pip:
@@ -623,11 +579,10 @@ def per_check_type(flags: rd.Dataset) -> pd.DataFrame:
             .groupby("check_name", sort=False, as_index=False).sum())
         return to_arrow(out)
 
-    from ray.data.aggregate import Sum as _Sum
     p = (flags.map_batches(partial, batch_format="pandas")
          .groupby("check_name")
-         .aggregate(_Sum("n", alias_name="count_total_checks"),
-                    _Sum("n_err", alias_name="count_total_errors"))
+         .aggregate(Sum("n", alias_name="count_total_checks"),
+                    Sum("n_err", alias_name="count_total_errors"))
          .to_pandas())
     df = p.sort_values("check_name").reset_index(drop=True)
     df["explanation"] = df["check_name"].map(

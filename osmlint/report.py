@@ -21,8 +21,6 @@ from __future__ import annotations
 import html as _html
 import os
 
-import pandas as pd
-
 from . import caches, pipeline
 
 

@@ -2164,10 +2164,6 @@ DUPSPAN_K = 5
 #: joined distributively instead of shipped to every worker via ray.put.
 DUPSPAN_BROADCAST_MAX = 4_000_000
 
-#: dup-key detection result (a materialized Dataset of duplicated gram
-#: keys) shared by ``dup_spans`` and ``dup_span_stats`` — the heaviest
-#: shuffle in the family runs once per checkpoint
-_DUPKEY_CACHE: dict = caches.register({})
 _DUPSPAN_CKPT_VERSION = 1
 
 
@@ -2295,17 +2291,17 @@ def dup_spans(sf_dir: str, k: int = DUPSPAN_K,
     # (the IVF read-coalescing rule); at scale this converges to Ray's
     # ~128 MB default.
     nb = widths.byte_blocks(ckpt)
-    dup = _DUPKEY_CACHE.get(ckpt)
-    if dup is None:
-        dup = rd.read_parquet(ckpt, columns=["h1", "h2", "doc_id"],
-                              override_num_blocks=nb) \
-            .map_batches(partial, batch_format="pyarrow") \
-            .groupby("bucket") \
-            .map_groups(crossdoc, batch_format="pandas") \
-            .materialize()      # bounded by duplicate-gram volume
-        # keyed by the content-fingerprinted checkpoint dir, so a
-        # regenerated input can never serve a stale dup-key set
-        _DUPKEY_CACHE[ckpt] = dup
+    # the dup-key set (a materialized Dataset of duplicated gram keys) is
+    # shared by ``dup_spans`` and ``dup_span_stats``: the heaviest shuffle
+    # in the family runs once per checkpoint.  Keyed by the
+    # content-fingerprinted checkpoint dir, so a regenerated input can
+    # never serve a stale dup-key set.
+    dup = caches.memo(("dupspan_keys", ckpt), lambda: rd.read_parquet(
+        ckpt, columns=["h1", "h2", "doc_id"], override_num_blocks=nb)
+        .map_batches(partial, batch_format="pyarrow")
+        .groupby("bucket")
+        .map_groups(crossdoc, batch_format="pandas")
+        .materialize())         # bounded by duplicate-gram volume
     posts = rd.read_parquet(ckpt, columns=["h1", "h2", "doc_id", "pos"],
                             override_num_blocks=nb)
     if dup.count() <= broadcast_max:
@@ -2358,20 +2354,19 @@ PMI_TOP = 100
 PMI_MIN_CNT = 3
 
 
-_PAIRCOUNT_CACHE: dict = caches.register({})
-
-
 def _pair_counts_ds(sf_dir: str) -> rd.Dataset:
     """Materialized global (w1, w2, cnt) table — unigram counts ride the
     same stream with ``w2 = ''`` — shared by ``pmi_bigrams`` and
     ``bigram_logprob`` (ONE corpus pass + ONE bucket reduce per input
-    fingerprint).  Vocab-bounded, far below corpus size."""
-    key = (sf_dir, caches.path_fingerprint(
-        os.path.join(sf_dir, "documents.parquet")))
-    hit = _PAIRCOUNT_CACHE.get(key)
-    if hit is not None:
-        return hit
+    fingerprint and Ray session).  Vocab-bounded, far below corpus
+    size."""
+    return caches.memo(
+        ("pair_counts", sf_dir, caches.path_fingerprint(
+            os.path.join(sf_dir, "documents.parquet"))),
+        lambda: _pair_counts(sf_dir))
 
+
+def _pair_counts(sf_dir: str) -> rd.Dataset:
     def partial(batch: pa.Table) -> pa.Table:
         df = batch.to_pandas()
         toks = df["text"].fillna("").str.lower().str.split()
@@ -2416,12 +2411,10 @@ def _pair_counts_ds(sf_dir: str) -> rd.Dataset:
                                         type=pa.string()),
                          "cnt": pa.array(d["cnt"].to_numpy(np.int64))})
 
-    agg = read_docs(sf_dir).map_batches(partial, batch_format="pyarrow") \
+    return read_docs(sf_dir).map_batches(partial, batch_format="pyarrow") \
         .map_batches(bucketize, batch_format="pyarrow") \
         .groupby("bucket").map_groups(bucket_sum, batch_format="pandas") \
         .materialize()
-    _PAIRCOUNT_CACHE[key] = agg
-    return agg
 
 
 def pmi_bigrams(sf_dir: str, top: int = PMI_TOP,

@@ -8,6 +8,7 @@ import pandas as pd
 import pytest
 import ray.data as rd
 
+import osmlint
 from osmlint import geo, geocluster, oracle_sql, synth
 
 SF = "/root/testdata/sf0.001"
@@ -99,7 +100,7 @@ def test_distributed_paths_agree(result):
     d, got = result
     old = geocluster.BROADCAST_MAX
     geocluster.BROADCAST_MAX = 0
-    geocluster._MEMBERS_CACHE.clear()      # knobs aren't in the cache key
+    osmlint.clear_caches()      # knobs aren't in the cache key
     try:
         got2 = geocluster.geo_clusters(d, small_threshold=0).to_pandas() \
             .sort_values(["osm_id", "entity_type"]).reset_index(drop=True)
@@ -112,7 +113,7 @@ def test_distributed_broadcast_path_agrees(result):
     """Distributed tail with the BROADCAST core-flag path (ceiling
     intact) also matches the local kernel."""
     d, got = result
-    geocluster._MEMBERS_CACHE.clear()      # drop the forced-join entry
+    osmlint.clear_caches()      # drop the forced-join entry
     got2 = geocluster.geo_clusters(d, small_threshold=0).to_pandas() \
         .sort_values(["osm_id", "entity_type"]).reset_index(drop=True)
     pd.testing.assert_frame_equal(got, got2, check_dtype=False)
@@ -184,7 +185,6 @@ def test_eps_pair_checkpoint_resume(result):
     purge_disk removes the dirs (cold-run contract)."""
     import os
 
-    import osmlint
     from osmlint import caches
     d, _ = result
     a = geocluster.mined_eps_pairs(d).to_pandas() \
@@ -303,8 +303,8 @@ def test_distributed_sizes_match_local_on_wide_clusters(result, monkeypatch,
     want = geocluster._local_members(pairs, geocluster.MIN_PTS)
     for ceiling in (geocluster.BROADCAST_MAX, 0):
         monkeypatch.setattr(geocluster, "BROADCAST_MAX", ceiling)
-        geocluster._MEMBERS_CACHE.clear()   # knobs aren't in the cache key
+        osmlint.clear_caches()   # knobs aren't in the cache key
         got = geocluster.geo_clusters(d, small_threshold=0).to_pandas() \
             .sort_values(["osm_id", "entity_type"]).reset_index(drop=True)
         pd.testing.assert_frame_equal(want, got, check_dtype=False)
-    geocluster._MEMBERS_CACHE.clear()
+    osmlint.clear_caches()

@@ -1,7 +1,8 @@
 # -*- coding: utf-8 -*-
 """Round-3 guards: counted skew caps (no silent recall loss), IVF rank
-soundness, the cache registry (bench --scaling cold-measurement
-regression tripwire), and content-fingerprint invalidation."""
+soundness, the one in-process memo (bench --scaling cold-measurement
+regression tripwire, Ray-session scoping), and content-fingerprint
+invalidation."""
 
 import os
 
@@ -119,7 +120,8 @@ def test_ivf_rank_never_beats_exact(dense_emb_dir):
 
 
 # ---------------------------------------------------------------------------
-# cache registry: the bench --scaling cold-measurement guard (VERDICT r2 #8)
+# the one in-process memo: the bench --scaling cold-measurement guard
+# (VERDICT r2 #8) and its Ray-session scoping
 # ---------------------------------------------------------------------------
 
 def _import_all_osmlint_modules():
@@ -131,39 +133,82 @@ def _import_all_osmlint_modules():
         importlib.import_module(f"osmlint.{mi.name}")
 
 
-def test_every_module_cache_is_registered():
-    """Any module-level dict whose name looks like a cache MUST be in the
-    caches registry — otherwise bench --scaling's clear_caches() would
-    miss it and trial 2 would measure a warm (inflated) run."""
+def test_no_module_cache_outside_the_memo():
+    """Tripwire: no module but ``caches`` holds a module-level dict whose
+    name looks like a cache.  Every in-process cache is an entry of
+    ``caches.memo``, so bench --scaling's clear_caches() reaches all of
+    them and trial 2 cannot measure a warm (inflated) run, and none can
+    serve an ObjectRef or Dataset of an ended Ray session."""
     import sys
     _import_all_osmlint_modules()
-    registered_ids = {id(c) for c in caches.registered()}
-    missing = []
+    found = []
     for name, mod in list(sys.modules.items()):
-        if not name.startswith("osmlint"):
+        if not name.startswith("osmlint") or name == "osmlint.caches":
             continue
         for gname, g in vars(mod).items():
             if not isinstance(g, dict) or gname in ("LAST_METRICS",):
                 continue
             if "CACHE" in gname.upper() or "CKPT" in gname.upper():
-                if id(g) not in registered_ids:
-                    missing.append(f"{name}.{gname}")
-    assert not missing, f"unregistered caches: {missing}"
+                found.append(f"{name}.{gname}")
+    assert not found, f"module caches outside caches.memo: {found}"
 
 
 def test_clear_caches_empties_everything(hot_doc_dir):
     textops.shingle_checkpoint(hot_doc_dir)      # populate at least one
-    assert any(c for c in caches.registered())
-    n = caches.clear_caches()
-    assert n == len(caches.registered())
-    assert all(not c for c in caches.registered())
+    textops.pmi_bigrams(hot_doc_dir)
+    assert caches._MEMO
+    caches.clear_caches()
+    assert not caches._MEMO
+
+
+def test_memo_is_scoped_to_the_ray_session(synth_small, tmp_path):
+    """A second local session in one process serves no entry of the
+    first: the job id alone repeats across ``ray.shutdown`` + ``ray.init``,
+    so a cache keyed on it lets every ObjectRef and materialized Dataset
+    outlive its session.  Runs two sessions in a subprocess; each lints,
+    builds the named-CTV projection and clusters it (the eps-pair mine
+    is checkpointed in the first and read back in the second), and both
+    must give the same answers."""
+    import json
+    import subprocess
+    import sys
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    script = """
+import json, sys
+import ray
+from osmlint import dupnames, geocluster, pipeline
+d = sys.argv[1]
+out = []
+for _ in range(2):
+    ray.init(address="local", num_cpus=2, include_dashboard=False,
+             logging_level="ERROR")
+    named = dupnames.named_ctv_deduped(d).to_pandas()
+    clusters = geocluster.geo_clusters(d).to_pandas()
+    out.append({
+        "flags": pipeline.flags_dataset(d).count(),
+        "named": sorted(named["doc_id"]),
+        "clusters": sorted(map(list, clusters.itertuples(index=False)))})
+    ray.shutdown()
+print(json.dumps(out, default=int))
+"""
+    env = {k: v for k, v in os.environ.items() if k != "RAY_ADDRESS"}
+    env["PYTHONPATH"] = root
+    env["OSMLINT_CKPT_DIR"] = str(tmp_path / "ckpt")
+    res = subprocess.run([sys.executable, "-c", script, synth_small],
+                         cwd=root, env=env, capture_output=True, text=True,
+                         timeout=900)
+    assert res.returncode == 0, res.stderr[-3000:]
+    first, second = json.loads(res.stdout.strip().splitlines()[-1])
+    assert first["flags"] > 0 and first["named"]
+    assert first == second
 
 
 def test_bench_scaling_trials_run_cold():
-    """Regression tripwire: the --scaling trial loop must reset ALL
-    registered caches between trials (cold collision pre-pass every
-    trial).  Combined with test_every_module_cache_is_registered this
-    makes a quietly-warm trial impossible."""
+    """Regression tripwire: the --scaling trial loop must empty the memo
+    between trials (cold collision pre-pass every trial).  Combined with
+    test_no_module_cache_outside_the_memo this makes a quietly-warm trial
+    impossible."""
     import inspect
     import sys
     sys.path.insert(0, os.path.dirname(os.path.dirname(
