@@ -14,7 +14,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import rules, synth
+from . import rules
+
+SERBIA_SLUG = "serbia_pbf"
+SERBIA_MAP = "Serbia checks (PBF)"
+#: neighbouring-country maps, display name -> bbox (minlat, maxlat,
+#: minlon, maxlon)
+NEIGHBORS = {
+    "Bosnia-Herzegovina": (42.5, 45.3, 15.7, 19.6),
+    "Croatia": (42.4, 46.5, 13.5, 19.4),
+    "Kosovo": (41.8, 43.3, 20.0, 21.8),
+    "Macedonia": (40.8, 42.4, 20.5, 23.0),
+    "Montenegro": (41.8, 43.6, 18.4, 20.4),
+    "Slovenia": (45.4, 46.9, 13.4, 16.6),
+}
 
 GROUP_CHECKS: dict[str, list[str]] = {
     # config.json:11-15
@@ -58,17 +71,17 @@ class MapCheck:
 
 def default_map_checks() -> list[MapCheck]:
     mcs: list[MapCheck] = []
-    mcs.append(MapCheck(synth.SERBIA_MAP, synth.SERBIA_SLUG, "Serbia checks",
+    mcs.append(MapCheck(SERBIA_MAP, SERBIA_SLUG, "Serbia checks",
                         tuple(GROUP_CHECKS["Serbia checks"])))
     for r in rules.RULES:
         mcs.append(MapCheck(r.map_name, r.slug, "Serbia checks",
                             tuple(GROUP_CHECKS["Serbia checks"])))
-    for c in synth.NEIGHBORS:
+    for c in NEIGHBORS:
         slug = f"outside_{c.lower().replace('-', '_')}"
         mcs.append(MapCheck(f"Checks outside of Serbia ({c})", slug,
                             "Checks outside of Serbia",
                             tuple(GROUP_CHECKS["Checks outside of Serbia"])))
-    mcs.append(MapCheck("Serbia checks extended (PBF)", synth.SERBIA_SLUG,
+    mcs.append(MapCheck("Serbia checks extended (PBF)", SERBIA_SLUG,
                         "Serbia checks extended",
                         tuple(GROUP_CHECKS["Serbia checks extended"])))
     return mcs

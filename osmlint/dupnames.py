@@ -3,27 +3,30 @@
 
 The north-star operator the reference only hints at (its checks are
 per-entity): find pairs of distinct populated places (place in
-city/town/village) carrying the SAME name within ``radius_km`` of each
-other — candidate duplicates/forks in the map data.
+city/town/village) carrying the SAME name within ``DEFAULT_RADIUS_KM``
+of each other — candidate duplicates/forks in the map data.
 
 Ray-Data-idiomatic shape (no all-pairs shuffle):
 
 1. decode + filter to named CTV entities (column-pruned, stateless);
 2. per-doc dedup (groupby doc_id, last-wins by seq — mirrors the engine's
    A5 semantics so the pair universe is deterministic);
-3. **replicate** each doc into its home cell + 8 neighbor cells at a
-   resolution whose cell size exceeds ``radius_km`` (guarantees every
-   qualifying pair shares ≥1 group);
-4. groupby (cell, name-hash bucket) — the bucket SALTS hot cells
-   (Belgrade/Novi Sad density skew) while keeping same-name docs
-   colocated, since the salt is a pure function of the join key;
-5. within each group, an anchor-only vectorized name self-join + haversine
-   gate; a pair (a, b), ``doc_a < doc_b``, is emitted exactly once — in
-   doc_a's home cell (doc_b is present there by replication).
+3. drop the stop-names (``MAX_NAME_FREQ``) and **replicate** each doc
+   into its home cell + 8 neighbor cells at ``DEFAULT_RES``, whose cell
+   size exceeds ``DEFAULT_RADIUS_KM`` (``geo.ring_copies``: every
+   qualifying pair shares a cell);
+4. shuffle on the FINE cell hashed into ``widths.REDUCE_BUCKETS`` buckets
+   — hashing the fine cell scatters hot metros (Belgrade/Novi Sad
+   density skew) across all buckets;
+5. within each bucket, ``geo.ring_pairs`` with the exact (cell, name)
+   code as run key: anchor x same-run copies in bounded chunks +
+   haversine gate; a pair (a, b), ``doc_a < doc_b``, is emitted exactly
+   once — in doc_a's home cell (doc_b is present there by replication).
 
-Scale note: replication factor is a constant 9; group size is bounded by
-cell area × name-bucket fan-out, not by global skew.  For 100 TB inputs
-raise ``res`` (smaller cells) and ``widths.NAME_BUCKETS`` together.
+Scale note: replication factor is a constant 9; the mining work of a
+group is bounded by the same-name density of its fine cells, not by
+global skew.  For 100 TB inputs raise ``DEFAULT_RES`` (smaller cells)
+while the cell size still exceeds the radius.
 """
 
 from __future__ import annotations
@@ -33,77 +36,48 @@ import pandas as pd
 import pyarrow as pa
 import ray.data as rd
 
-from . import caches, geo, widths
+from . import caches, config, geo, widths
 from .pipeline import decoded, to_arrow
 
+#: the one map shard the spatial family reads
+MAP_SLUG = config.SERBIA_SLUG
 DEFAULT_RES = 12          # 2^12 grid: ~4.9 km cell height > radius 2 km
 DEFAULT_RADIUS_KM = 2.0
 
 NAMED_SCHEMA = pa.schema([("doc_id", pa.string()), ("seq", pa.int64()),
                           ("name", pa.string()), ("lat", pa.float64()),
                           ("lon", pa.float64()), ("_b", pa.int64())])
-
-
-def replicate_to_cells(batch: pa.Table, *, res: int,
-                       group_res: int) -> pa.Table:
-    """Emit each doc into its home cell + ring-1 neighbors (anchor flag on
-    the home copy).  ``gcell`` is the coarse ancestor cell at ``group_res``
-    — the actual shuffle key, so groups stay few and fat (the per-group
-    kernel joins on the fine ``cell``)."""
-    df = batch.to_pandas()
-    lat = df["lat"].to_numpy()
-    lon = df["lon"].to_numpy()
-    home = geo.cell_id(lat, lon, res)
-    neigh = geo.cell_neighbors(home, res)            # (n, 8), -1 padded
-    cells = np.concatenate([home[:, None], neigh], axis=1)   # (n, 9)
-    n = len(df)
-    rows = np.repeat(np.arange(n), 9)
-    flat_cells = cells.reshape(-1)
-    keep = flat_cells >= 0
-    rows, flat_cells = rows[keep], flat_cells[keep]
-    nfine = np.int64(1) << res
-    shift = res - group_res
-    ix, iy = flat_cells % nfine, flat_cells // nfine
-    gcell = (iy >> shift) * (np.int64(1) << group_res) + (ix >> shift)
-    out = pd.DataFrame({
-        "gcell": gcell,
-        "cell": flat_cells,
-        "anchor": flat_cells == home[rows],
-        "doc_id": df["doc_id"].to_numpy()[rows],
-        "name": df["name"].to_numpy()[rows],
-        "lat": lat[rows], "lon": lon[rows],
-    })
-    out["bucket"] = widths.bucket_of(out["name"].to_numpy(dtype=object),
-                                     widths.NAME_BUCKETS)
-    return to_arrow(out)
-
-
-def pairs_in_group(g: pd.DataFrame, *, radius_km: float) -> pa.Table:
-    """Anchor-driven same-(cell, name) pairs within one (gcell, bucket)
-    group — one vectorized merge over thousands of docs, not a Python call
-    per fine cell."""
-    anchors = g[g["anchor"]]
-    if not len(anchors):
-        return _empty_pairs()
-    m = anchors.merge(g, on=["cell", "name"], suffixes=("_a", "_b"))
-    m = m[m["doc_id_a"] < m["doc_id_b"]]
-    if not len(m):
-        return _empty_pairs()
-    d = geo.haversine_km(m["lat_a"].to_numpy(), m["lon_a"].to_numpy(),
-                         m["lat_b"].to_numpy(), m["lon_b"].to_numpy())
-    m = m[d <= radius_km]
-    return to_arrow(
-        pd.DataFrame({"name": m["name"].to_numpy(),
-                      "doc_a": m["doc_id_a"].to_numpy(),
-                      "doc_b": m["doc_id_b"].to_numpy()}), PAIRS_SCHEMA)
-
-
 PAIRS_SCHEMA = pa.schema([("name", pa.string()), ("doc_a", pa.string()),
                           ("doc_b", pa.string())])
+_COPY_SCHEMA = pa.schema([("_b", pa.int64()), ("cell", pa.int64()),
+                          ("anchor", pa.bool_()), ("doc_id", pa.string()),
+                          ("name", pa.string()), ("lat", pa.float64()),
+                          ("lon", pa.float64())])
 
 
-def _empty_pairs() -> pa.Table:
-    return PAIRS_SCHEMA.empty_table()
+def _copies(df: pd.DataFrame, hot: frozenset) -> pa.Table:
+    """Ring-1 copies (``geo.ring_copies``) of the docs whose name is not
+    a stop-name, keyed for the fine-cell-hash shuffle."""
+    df = df[~df["name"].isin(hot)]
+    rows, cell, anchor = geo.ring_copies(df["lat"].to_numpy(),
+                                         df["lon"].to_numpy(), DEFAULT_RES)
+    cols = {c: df[c].to_numpy()[rows]
+            for c in ("doc_id", "name", "lat", "lon")}
+    return to_arrow(pd.DataFrame({"_b": widths.bucket_of(cell), "cell": cell,
+                                  "anchor": anchor, **cols}), _COPY_SCHEMA)
+
+
+def _pairs_group(g: pd.DataFrame) -> pa.Table:
+    """Same-name pairs within the radius among one bucket's copies
+    (``geo.ring_pairs``, run key = the (cell, name) code).  String doc
+    ids order the pair, as in the oracle."""
+    doc = g["doc_id"].to_numpy(dtype=object)
+    a, b, _ = geo.ring_pairs(
+        g.groupby(["cell", "name"], sort=False).ngroup().to_numpy(),
+        g["anchor"].to_numpy(bool), doc, g["lat"].to_numpy(np.float64),
+        g["lon"].to_numpy(np.float64), DEFAULT_RADIUS_KM)
+    return pa.table({"name": g["name"].to_numpy(dtype=object)[a],
+                     "doc_a": doc[a], "doc_b": doc[b]}, schema=PAIRS_SCHEMA)
 
 
 MAX_NAME_FREQ = 64    # stop-name cap: names more frequent than this are
@@ -112,12 +86,11 @@ MAX_NAME_FREQ = 64    # stop-name cap: names more frequent than this are
                       # count is quadratic, so the cap also bounds output size
 
 
-def named_ctv_deduped(data_dir: str, *,
-                      map_slug: str = "serbia_pbf") -> rd.Dataset:
-    """Deduped named-CTV point set of one map shard: decode -> filter to
-    named city/town/village entities -> per-doc last-wins dedup.  The
-    shared point universe of the spatial pair/cluster operators
-    (``dup_name_pairs``, ``geocluster.geo_clusters``).
+def named_ctv_deduped(data_dir: str) -> rd.Dataset:
+    """Deduped named-CTV point set of the ``MAP_SLUG`` shard: decode ->
+    filter to named city/town/village entities -> per-doc last-wins
+    dedup.  The shared point universe of the spatial pair/cluster
+    operators (``dup_name_pairs``, ``geocluster.geo_clusters``).
 
     Per-doc dedup runs as a distributed keyed shuffle over the small
     named-CTV projection (6 narrow columns): a doc_id hash-bucket groupby
@@ -134,19 +107,19 @@ def named_ctv_deduped(data_dir: str, *,
     and ``geocluster.geo_clusters``, which the driver runs back-to-back,
     share it."""
     import os
-    shard = os.path.join(data_dir, "docs", f"map={map_slug}")
+    shard = os.path.join(data_dir, "docs", f"map={MAP_SLUG}")
     return caches.memo(
         ("named_ctv_deduped", shard, caches.path_fingerprint(shard)),
-        lambda: _named_ctv_deduped(data_dir, map_slug))
+        lambda: _named_ctv_deduped(data_dir))
 
 
-def _named_ctv_deduped(data_dir: str, map_slug: str) -> rd.Dataset:
+def _named_ctv_deduped(data_dir: str) -> rd.Dataset:
     # read ONLY the target map shard (hive pruning at the read)
-    ds = decoded(data_dir, partition=map_slug)
+    ds = decoded(data_dir, partition=MAP_SLUG)
 
     def named_ctv(batch: pa.Table) -> pa.Table:
         df = batch.to_pandas()
-        keep = (df["map_slug"] == map_slug) & df["place"].isin(
+        keep = (df["map_slug"] == MAP_SLUG) & df["place"].isin(
             ("city", "town", "village")) & df["name"].notna()
         out = df.loc[keep, ["doc_id", "seq", "name", "lat", "lon"]]
         out["_b"] = widths.bucket_of(out["doc_id"].to_numpy(dtype=object),
@@ -165,12 +138,8 @@ def _named_ctv_deduped(data_dir: str, map_slug: str) -> rd.Dataset:
         dedup_group, batch_format="pandas").materialize()
 
 
-def dup_name_pairs(data_dir: str, *, map_slug: str = "serbia_pbf",
-                   radius_km: float = DEFAULT_RADIUS_KM,
-                   res: int = DEFAULT_RES,
-                   group_res: int = 8,
-                   max_name_freq: int = MAX_NAME_FREQ) -> rd.Dataset:
-    deduped = named_ctv_deduped(data_dir, map_slug=map_slug)
+def dup_name_pairs(data_dir: str) -> rd.Dataset:
+    deduped = named_ctv_deduped(data_dir)
 
     # hot ("stop") names over the DEDUPED stream: per-batch count partials,
     # name-hash-bucket groupby, per-group emit only names above the cap —
@@ -187,23 +156,14 @@ def dup_name_pairs(data_dir: str, *, map_slug: str = "serbia_pbf",
 
     def hot_in_bucket(g: pd.DataFrame) -> pa.Table:
         tot = g.groupby("name", sort=False)["c"].sum()
-        return to_arrow(tot[tot > max_name_freq].reset_index()[["name"]],
+        return to_arrow(tot[tot > MAX_NAME_FREQ].reset_index()[["name"]],
                         hot_schema)
 
-    hot = set(deduped.map_batches(name_partial, batch_format="pandas")
-              .repartition(widths.shuffle_blocks()).groupby("_nb")
-              .map_groups(hot_in_bucket, batch_format="pandas")
-              .to_pandas()["name"])
+    hot = frozenset(deduped.map_batches(name_partial, batch_format="pandas")
+                    .repartition(widths.shuffle_blocks()).groupby("_nb")
+                    .map_groups(hot_in_bucket, batch_format="pandas")
+                    .to_pandas()["name"])
 
-    dedup_schema = pa.schema([f for f in NAMED_SCHEMA if f.name != "_b"])
-
-    def drop_hot(df: pd.DataFrame) -> pa.Table:
-        out = df[~df["name"].isin(hot)].drop(columns="_b")
-        return to_arrow(out, dedup_schema)
-    ds = deduped.map_batches(drop_hot, batch_format="pandas")
-
-    ds = ds.map_batches(replicate_to_cells, batch_format="pyarrow",
-                        fn_kwargs={"res": res, "group_res": group_res})
-    return ds.groupby(["gcell", "bucket"]).map_groups(
-        pairs_in_group, batch_format="pandas",
-        fn_kwargs={"radius_km": radius_km})
+    return deduped.map_batches(_copies, batch_format="pandas",
+                               fn_kwargs={"hot": hot}) \
+        .groupby("_b").map_groups(_pairs_group, batch_format="pandas")

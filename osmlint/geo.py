@@ -13,6 +13,10 @@
 
   ``cell_parent`` (res-1), ``cell_neighbors`` (8-ring) and ``morton`` (bit
   interleave, for range-partitioned sort locality) complete the index.
+* ``ring_copies`` / ``ring_pairs`` — the one ring-1 spatial range join
+  (replicate each point into its 9-cell ring, shuffle on the fine cell,
+  mine anchors against same-run copies); ``dupnames.dup_name_pairs`` and
+  ``geocluster.mined_eps_pairs`` both run on it.
 * ``point_in_polygon`` — vectorized even-odd ray casting.
 * ``STRtree`` — sort-tile-recursive bulk-loaded R-tree over polygon bboxes
   (public algorithm: Leutenegger et al., 1997), numpy arrays only; used to
@@ -85,6 +89,74 @@ def cell_neighbors(cell, res: int) -> np.ndarray:
     valid = (nx >= 0) & (nx < n) & (ny >= 0) & (ny < n)
     out = np.where(valid, ny * n + nx, -1)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Ring-1 spatial range join (partition-based spatial merge join)
+# ---------------------------------------------------------------------------
+
+#: candidate rows expanded per numpy chunk of ``ring_pairs`` (~320 MB of
+#: working set at 5 int64/float64 columns)
+_CAND_CHUNK = 1 << 23
+
+
+def ring_copies(lat, lon, res: int):
+    """Replicate step of the ring-1 range join: copy every point into its
+    home cell (the anchor copy) and its ring-1 neighbours at ``res``
+    (clipped at the grid edge).  When a cell is taller and wider than the
+    join radius, every pair within the radius meets in the home cell of
+    either point.  Returns ``(rows, cell, anchor)``: the source row, the
+    fine cell and the anchor flag of each copy.
+
+    Shuffle the copies on ``widths.bucket_of(cell)``: pairs are only mined
+    within one fine cell, so any partition of fine cells is correct, and
+    hashing the fine cell (not a coarse ancestor) scatters a dense metro's
+    cells across all buckets instead of pinning it to one straggler
+    group."""
+    home = cell_id(lat, lon, res)
+    cells = np.concatenate([home[:, None], cell_neighbors(home, res)], axis=1)
+    rows = np.repeat(np.arange(len(home)), 9)
+    cell = cells.reshape(-1)
+    keep = cell >= 0
+    rows, cell = rows[keep], cell[keep]
+    return rows, cell, cell == home[rows]
+
+
+def ring_pairs(run, anchor, ids, lat, lon, radius_km: float):
+    """Mine step of the ring-1 range join over one shuffle group of
+    copies: expand every anchor against every copy with the same ``run``
+    key (the fine cell, or a finer key such as the (cell, name) code) and
+    keep ``ids[a] < ids[b]`` with great-circle ``d <= radius_km``.  A pair
+    is found exactly once, in the home cell of its lower-id point.
+
+    Runs are located with ``searchsorted`` on the run-sorted group and
+    (anchor, candidate) index pairs expanded with ``repeat``/``arange``
+    arithmetic, ``_CAND_CHUNK`` candidates at a time, so memory stays
+    bounded however dense a cell is.  Returns ``(a, b, d)``: row indices
+    into the inputs and the unrounded distance in km."""
+    order = np.argsort(run, kind="stable")
+    run = run[order]
+    ids, lat, lon = ids[order], lat[order], lon[order]
+    apos = np.nonzero(anchor[order])[0]
+    left = np.searchsorted(run, run[apos], "left")
+    cnt = np.searchsorted(run, run[apos], "right") - left
+    cuts = np.searchsorted(np.cumsum(cnt),
+                           np.arange(_CAND_CHUNK, int(cnt.sum()),
+                                     _CAND_CHUNK), "left") + 1
+    bounds = np.concatenate([[0], cuts, [len(apos)]])
+    outs = []
+    for a0, a1 in zip(bounds[:-1], bounds[1:]):
+        c = cnt[a0:a1]
+        ai = np.repeat(apos[a0:a1], c)
+        bi = np.repeat(left[a0:a1], c) + np.arange(len(ai), dtype=np.int64) \
+            - np.repeat(np.cumsum(c) - c, c)
+        m = ids[ai] < ids[bi]
+        ai, bi = ai[m], bi[m]
+        d = haversine_km(lat[ai], lon[ai], lat[bi], lon[bi])
+        keep = d <= radius_km
+        outs.append((ai[keep], bi[keep], d[keep]))
+    a, b, d = (np.concatenate(x) for x in zip(*outs))
+    return order[a], order[b], d
 
 
 def morton(ix, iy, res: int):

@@ -5,13 +5,13 @@ The reference's spatial reasoning is per-entity point-radius gating (the
 20 km wiki gate, src/checks.py:541; ``wikibase:around`` circles in
 sparql/*.sparql).  This operator generalizes it to the classic corpus-
 level question — settlement agglomerations: group places that chain
-together within ``eps_km`` of each other (Ester et al., "A Density-Based
+together within ``EPS_KM`` of each other (Ester et al., "A Density-Based
 Algorithm for Discovering Clusters", KDD'96).
 
 Semantics (deterministic variant of DBSCAN):
 
-* ``core`` point: >= ``min_pts`` points (itself included) within
-  ``eps_km``;
+* ``core`` point: >= ``MIN_PTS`` points (itself included) within
+  ``EPS_KM``;
 * clusters: connected components of the core-core eps-graph, labeled by
   the minimum CORE member node id (isolated cores form singleton
   clusters; an attached border node may carry a smaller id — the label
@@ -25,17 +25,14 @@ Semantics (deterministic variant of DBSCAN):
 Ray-Data-idiomatic shape — no all-pairs, no driver loops:
 
 1. shared deduped named-CTV projection (``dupnames.named_ctv_deduped``);
-2. eps-pair mining with the same 9-cell replication trick as
-   ``dupnames``: each point is emitted into its home cell (anchor) + 8
-   neighbors at a resolution whose cell size exceeds ``eps_km``, so every
-   qualifying pair shares the anchor's home cell; the shuffle key is the
-   FINE cell hashed into ``widths.REDUCE_BUCKETS`` buckets (sparse
-   cells would otherwise pay per-group overhead, and hashing the fine
-   cell rather than a coarse ancestor scatters dense metros across all
-   buckets), and each group runs one vectorized chunked anchors x
-   copies expansion on the fine cell + haversine gate
-   (``_eps_pairs_group``).  Work per group is bounded by
-   eps-density (the candidate volume itself), not by global skew;
+2. eps-pair mining on the ring-1 range join of ``geo``, the same join
+   ``dupnames`` runs: ``geo.ring_copies`` copies each point into its
+   home cell (anchor) + 8 neighbors at ``RES``, whose cell size exceeds
+   ``EPS_KM``; the shuffle key is the fine cell hashed into
+   ``widths.REDUCE_BUCKETS`` buckets; and ``geo.ring_pairs`` expands
+   each group's anchors against same-cell copies in bounded chunks with
+   a haversine gate (``_eps_pairs_group``).  Work per group is bounded
+   by eps-density (the candidate volume itself), not by global skew;
 3. per-node eps-DEGREE via a bounded node-hash bucket reduce over pair
    endpoints (the ``widths.REDUCE_BUCKETS`` rule — no node-cardinality
    ``aggregate()``);
@@ -68,7 +65,7 @@ import ray
 import ray.data as rd
 
 from . import caches, geo, graph, widths
-from .dupnames import named_ctv_deduped
+from .dupnames import MAP_SLUG, named_ctv_deduped
 
 EPS_KM = 0.5
 MIN_PTS = 4
@@ -105,35 +102,6 @@ def _to_nodes(batch: pa.Table) -> pa.Table:
                      "lon": pa.array(df["lon"].to_numpy(np.float64))})
 
 
-def _replicate(batch: pa.Table, *, res: int) -> pa.Table:
-    """Emit each point into home cell (anchor) + ring-1 neighbors;
-    ``gcell`` (coarse ancestor) is the shuffle key."""
-    node = batch["node"].to_numpy(zero_copy_only=False)
-    lat = batch["lat"].to_numpy(zero_copy_only=False)
-    lon = batch["lon"].to_numpy(zero_copy_only=False)
-    home = geo.cell_id(lat, lon, res)
-    neigh = geo.cell_neighbors(home, res)                  # (n, 8), -1 pad
-    cells = np.concatenate([home[:, None], neigh], axis=1)  # (n, 9)
-    rows = np.repeat(np.arange(len(node)), 9)
-    flat = cells.reshape(-1)
-    keep = flat >= 0
-    rows, flat = rows[keep], flat[keep]
-    # meta-bucket the shuffle key DIRECTLY on the fine cell: pairs are
-    # only ever mined within one fine cell, so any partition of fine
-    # cells is correct — hashing the fine cell (not its coarse
-    # ancestor) scatters a dense metro's many cells across all buckets
-    # instead of pinning the whole area to one straggler group (the
-    # ancestor keying made one bucket 5x the mean at sf0.1).  Residual
-    # skew is a single ultra-dense FINE cell — irreducible for this
-    # algorithm without changing ``res``.
-    gcell = widths.bucket_of(flat)
-    return pa.table({
-        "gcell": pa.array(gcell), "cell": pa.array(flat),
-        "anchor": pa.array(flat == home[rows]),
-        "node": pa.array(node[rows]),
-        "lat": pa.array(lat[rows]), "lon": pa.array(lon[rows])})
-
-
 #: mined-pair schema shared by the DBSCAN and range-join consumers:
 #: ``dist_km`` is 6-dp floor-rounded; ``raw_ok`` is the UNrounded
 #: ``d <= eps`` verdict (geo_clusters' gate — its oracle compares raw
@@ -145,65 +113,32 @@ _MINE_SCHEMA = pa.schema([
     ("doc_a", pa.int64()), ("doc_b", pa.int64()),
     ("dist_km", pa.float64()), ("raw_ok", pa.bool_())])
 _ROUND_SLACK = 1e-6
-#: candidate rows expanded per numpy chunk inside a group kernel
-#: (~320 MB of working set at 5 int64/float64 columns)
-_CAND_CHUNK = 1 << 23
 
 
-def _eps_pairs_group(g: pd.DataFrame, *, eps_km: float) -> pa.Table:
-    """Anchor-driven same-fine-cell candidate expansion + haversine
-    gate, fully vectorized: sort the group by fine cell, locate each
-    anchor's cell run with ``searchsorted``, expand (anchor, candidate)
-    index pairs with ``repeat``/``arange`` arithmetic, and gate in
-    numpy — no pandas merge materializing the candidate frame (the
-    merge was the 5x-mean straggler on the densest metro gcell).
-    Anchors are processed in ``_CAND_CHUNK``-candidate chunks so the
-    expansion stays memory-bounded regardless of cell density.  A pair
-    (a < b) is emitted exactly once — in a's home cell, where b is
-    present by replication (cell size >= eps + slack guarantees
-    coverage)."""
-    cell = g["cell"].to_numpy(np.int64)
-    order = np.argsort(cell, kind="stable")
-    cell = cell[order]
-    node = g["node"].to_numpy(np.int64)[order]
-    lat = g["lat"].to_numpy(np.float64)[order]
-    lon = g["lon"].to_numpy(np.float64)[order]
-    apos = np.nonzero(g["anchor"].to_numpy(bool)[order])[0]
-    if not len(apos):
-        return _MINE_SCHEMA.empty_table()
-    left = np.searchsorted(cell, cell[apos], "left")
-    cnt = np.searchsorted(cell, cell[apos], "right") - left
-    csum = np.cumsum(cnt)
-    total = int(csum[-1])
-    cuts = np.searchsorted(csum, np.arange(_CAND_CHUNK, total,
-                                           _CAND_CHUNK), "left") + 1
-    bounds = np.concatenate([[0], cuts, [len(apos)]])
-    outs = []
-    for a0, a1 in zip(bounds[:-1], bounds[1:]):
-        if a0 >= a1:
-            continue
-        c = cnt[a0:a1]
-        tot = int(c.sum())
-        if tot == 0:
-            continue
-        ai = np.repeat(apos[a0:a1], c)
-        off = np.arange(tot, dtype=np.int64) \
-            - np.repeat(np.cumsum(c) - c, c)
-        bi = np.repeat(left[a0:a1], c) + off
-        m = node[ai] < node[bi]
-        ai, bi = ai[m], bi[m]
-        d = geo.haversine_km(lat[ai], lon[ai], lat[bi], lon[bi])
-        keep = d <= eps_km + _ROUND_SLACK
-        ai, bi, d = ai[keep], bi[keep], d[keep]
-        if not len(ai):
-            continue
-        outs.append(pa.table({
-            "doc_a": pa.array(node[ai]), "doc_b": pa.array(node[bi]),
-            "dist_km": pa.array(np.floor(d * 1e6 + 0.5) / 1e6),
-            "raw_ok": pa.array(d <= eps_km)}))
-    if not outs:
-        return _MINE_SCHEMA.empty_table()
-    return pa.concat_tables(outs)
+def _copies(batch: pa.Table) -> pa.Table:
+    """Ring-1 copies of the (node, lat, lon) points (``geo.ring_copies``),
+    keyed for the fine-cell-hash shuffle."""
+    rows, cell, anchor = geo.ring_copies(
+        batch["lat"].to_numpy(zero_copy_only=False),
+        batch["lon"].to_numpy(zero_copy_only=False), RES)
+    return batch.take(pa.array(rows)) \
+        .append_column("cell", pa.array(cell)) \
+        .append_column("anchor", pa.array(anchor)) \
+        .append_column("_b", pa.array(widths.bucket_of(cell)))
+
+
+def _eps_pairs_group(g: pd.DataFrame) -> pa.Table:
+    """Eps-pairs among one bucket's copies (``geo.ring_pairs``, run key =
+    fine cell), mined to ``EPS_KM + _ROUND_SLACK`` so both gates of
+    ``_MINE_SCHEMA`` read from one set."""
+    node = g["node"].to_numpy(np.int64)
+    a, b, d = geo.ring_pairs(
+        g["cell"].to_numpy(np.int64), g["anchor"].to_numpy(bool), node,
+        g["lat"].to_numpy(np.float64), g["lon"].to_numpy(np.float64),
+        EPS_KM + _ROUND_SLACK)
+    return pa.table({"doc_a": pa.array(node[a]), "doc_b": pa.array(node[b]),
+                     "dist_km": pa.array(np.floor(d * 1e6 + 0.5) / 1e6),
+                     "raw_ok": pa.array(d <= EPS_KM)}, schema=_MINE_SCHEMA)
 
 
 #: bump when the mined-pair checkpoint SCHEMA changes (part of the
@@ -211,13 +146,14 @@ def _eps_pairs_group(g: pd.DataFrame, *, eps_km: float) -> pa.Table:
 _PAIRS_CKPT_VERSION = 1
 
 
-def mined_eps_pairs(data_dir: str, *, map_slug: str = "serbia_pbf",
-                    eps_km: float = EPS_KM, res: int = RES) -> rd.Dataset:
+def mined_eps_pairs(data_dir: str) -> rd.Dataset:
     """Shared eps-pair mining over the deduped named-CTV points —
     ``(doc_a, doc_b, dist_km, raw_ok)``, materialized once per (input
     fingerprint, eps, res) so ``geo_clusters``, ``geo_cluster_stats``,
     ``geo_range_join``, Ripley's K, the semivariogram and the NN stats
-    mine the corpus once per driver sweep.
+    mine the corpus once per driver sweep.  The mine is the ring-1 range
+    join of ``geo`` (``_copies`` -> fine-cell-hash shuffle ->
+    ``_eps_pairs_group``).
 
     The mine — the most expensive stage of the spatial family — is a
     ``caches.dataset_checkpoint`` (``eps_pairs_*`` under
@@ -226,21 +162,19 @@ def mined_eps_pairs(data_dir: str, *, map_slug: str = "serbia_pbf",
     process restarts and ``clear_caches()``;
     ``clear_caches(purge_disk=True)`` deletes it for a genuinely cold
     run."""
-    shard = os.path.join(data_dir, "docs", f"map={map_slug}")
+    shard = os.path.join(data_dir, "docs", f"map={MAP_SLUG}")
 
     def build() -> rd.Dataset:
-        points = named_ctv_deduped(data_dir, map_slug=map_slug) \
-            .map_batches(_to_nodes, batch_format="pyarrow")
-        return points.map_batches(
-            _replicate, batch_format="pyarrow",
-            fn_kwargs={"res": res}) \
-            .groupby("gcell").map_groups(
-                _eps_pairs_group, batch_format="pandas",
-                fn_kwargs={"eps_km": eps_km})
+        return named_ctv_deduped(data_dir) \
+            .map_batches(_to_nodes, batch_format="pyarrow") \
+            .map_batches(_copies, batch_format="pyarrow") \
+            .groupby("_b").map_groups(_eps_pairs_group,
+                                      batch_format="pandas")
 
+    # EPS_KM and RES stay in the key, so changing either mines afresh
     pairs = caches.dataset_checkpoint(
-        "eps_pairs", (shard, caches.path_fingerprint(shard), map_slug,
-                      eps_km, res, _PAIRS_CKPT_VERSION), build)
+        "eps_pairs", (shard, caches.path_fingerprint(shard), MAP_SLUG,
+                      EPS_KM, RES, _PAIRS_CKPT_VERSION), build)
     # an empty mine is checkpointed meta-only; consumers still need the
     # mine's columns
     return pairs if pairs is not None \
@@ -325,9 +259,7 @@ def _local_members(df: pd.DataFrame, min_pts: int) -> pd.DataFrame:
     return out.sort_values(["osm_id", "entity_type"]).reset_index(drop=True)
 
 
-def geo_clusters(data_dir: str, *, map_slug: str = "serbia_pbf",
-                 eps_km: float = EPS_KM, min_pts: int = MIN_PTS,
-                 res: int = RES,
+def geo_clusters(data_dir: str, *,
                  small_threshold: int | None = None) -> rd.Dataset:
     """DBSCAN over the deduped named-CTV points of one map shard ->
     ``(osm_id, entity_type, cluster_id, is_core, cluster_size)`` for
@@ -343,20 +275,17 @@ def geo_clusters(data_dir: str, *, map_slug: str = "serbia_pbf",
     frame; above it the fully distributed path below takes over
     (``small_threshold=0`` forces it — the dual-path test compares
     both)."""
-    shard = os.path.join(data_dir, "docs", f"map={map_slug}")
+    shard = os.path.join(data_dir, "docs", f"map={MAP_SLUG}")
     if small_threshold is None:
         small_threshold = SMALL_PAIRS
     return caches.memo(
-        ("geo_clusters", shard, caches.path_fingerprint(shard), map_slug,
-         eps_km, min_pts, res, small_threshold == 0),
-        lambda: _members(data_dir, map_slug, eps_km, min_pts, res,
-                         small_threshold))
+        ("geo_clusters", shard, caches.path_fingerprint(shard),
+         small_threshold == 0),
+        lambda: _members(data_dir, small_threshold))
 
 
-def _members(data_dir: str, map_slug: str, eps_km: float, min_pts: int,
-             res: int, small_threshold: int) -> rd.Dataset:
-    pairs = mined_eps_pairs(data_dir, map_slug=map_slug, eps_km=eps_km,
-                            res=res) \
+def _members(data_dir: str, small_threshold: int) -> rd.Dataset:
+    pairs = mined_eps_pairs(data_dir) \
         .map_batches(
             lambda b: b.filter(b["raw_ok"]).select(["doc_a", "doc_b"]),
             batch_format="pyarrow") \
@@ -365,7 +294,7 @@ def _members(data_dir: str, map_slug: str, eps_km: float, min_pts: int,
     if n_pairs == 0:
         return rd.from_arrow(_OUT_SCHEMA.empty_table())
     if n_pairs <= small_threshold:
-        mem = _local_members(pairs.to_pandas(), min_pts)
+        mem = _local_members(pairs.to_pandas(), MIN_PTS)
         return rd.from_arrow(_OUT_SCHEMA.empty_table()) if mem.empty \
             else rd.from_pandas(mem).materialize()
 
@@ -373,7 +302,7 @@ def _members(data_dir: str, map_slug: str, eps_km: float, min_pts: int,
                                           batch_format="pyarrow"),
                         "node", "c")
     core = deg.map_batches(
-        lambda b: b.filter(pc.greater_equal(b["c"], min_pts - 1))
+        lambda b: b.filter(pc.greater_equal(b["c"], MIN_PTS - 1))
         .select(["node"]), batch_format="pyarrow").materialize()
     n_core = core.count()
     if n_core == 0:
@@ -519,9 +448,7 @@ _STATS_SCHEMA = pa.schema([
     ("lon_min", pa.float64()), ("lon_max", pa.float64())])
 
 
-def geo_cluster_stats(data_dir: str, *, map_slug: str = "serbia_pbf",
-                      eps_km: float = EPS_KM, min_pts: int = MIN_PTS,
-                      res: int = RES) -> pd.DataFrame:
+def geo_cluster_stats(data_dir: str) -> pd.DataFrame:
     """Per-cluster summary of the DBSCAN agglomerations — point/core
     counts, centroid and exact bounding box (the settlement-region
     digest a map product ships instead of raw members).
@@ -535,9 +462,7 @@ def geo_cluster_stats(data_dir: str, *, map_slug: str = "serbia_pbf",
     A member table at or under the ``SMALL_PAIRS`` collect budget skips
     the distributed join and aggregates in one pandas merge (the same
     hybrid rule as the clustering tail; identical arithmetic)."""
-    members = geo_clusters(data_dir, map_slug=map_slug, eps_km=eps_km,
-                           min_pts=min_pts, res=res)
-    members = members.materialize()
+    members = geo_clusters(data_dir).materialize()
     if members.count() == 0:
         return _STATS_SCHEMA.empty_table().to_pandas()
 
@@ -549,7 +474,7 @@ def geo_cluster_stats(data_dir: str, *, map_slug: str = "serbia_pbf",
             "cluster_id": pa.array(df["cluster_id"].to_numpy(np.int64)),
             "is_core": pa.array(df["is_core"].to_numpy(bool))})
 
-    points = named_ctv_deduped(data_dir, map_slug=map_slug) \
+    points = named_ctv_deduped(data_dir) \
         .map_batches(_to_nodes, batch_format="pyarrow")
     n_members = members.count()
     if n_members <= SMALL_PAIRS:
@@ -626,11 +551,11 @@ def _diam_pairs_exact(node: np.ndarray, lat: np.ndarray,
     NODE-SORTED point list; ties resolve to the lexicographically
     smallest (node_a, node_b) pair — well-defined because distances are
     ROUNDED before the argmax (raw numpy-vs-SQL trig ulps cannot
-    reorder ties).  Anchors expand in ``_CAND_CHUNK``-candidate chunks
+    reorder ties).  Anchors expand in ``geo._CAND_CHUNK``-candidate chunks
     so a dense cluster cannot blow a worker's heap."""
     m = len(node)
     best, na, nb = np.int64(-1), np.int64(0), np.int64(0)
-    step = max(1, _CAND_CHUNK // m)
+    step = max(1, geo._CAND_CHUNK // m)
     jj = np.arange(m)[None, :]
     for s in range(0, m, step):
         e = min(s + step, m)
@@ -758,7 +683,7 @@ def _diam_hull(node: np.ndarray, lat: np.ndarray,
     hlat, hlon = lat[hull], lon[hull]
     best = np.int64(-1)
     cand_mask = np.zeros(m, dtype=bool)
-    step = max(1, _CAND_CHUNK // max(h, 1))
+    step = max(1, geo._CAND_CHUNK // max(h, 1))
     for s in range(0, m, step):
         e = min(s + step, m)
         d = geo.haversine_km(lat[s:e, None], lon[s:e, None],
@@ -816,9 +741,7 @@ def _diam_group(g: pd.DataFrame) -> pa.Table:
                                   type=pa.string())})
 
 
-def geo_cluster_diameter(data_dir: str, *, map_slug: str = "serbia_pbf",
-                         eps_km: float = EPS_KM, min_pts: int = MIN_PTS,
-                         res: int = RES) -> pd.DataFrame:
+def geo_cluster_diameter(data_dir: str) -> pd.DataFrame:
     """Exact great-circle diameter of each DBSCAN agglomeration — the
     max pairwise 6-dp rounded distance among members, with the
     contributing pair decoded (tie -> lowest (node_a, node_b)).  The
@@ -832,8 +755,7 @@ def geo_cluster_diameter(data_dir: str, *, map_slug: str = "serbia_pbf",
     in-group kernel is chunked vectorized all-pairs — work is
     sum(n_c^2) over clusters, never corpus-pairs, and the driver sees
     #clusters rows."""
-    members = geo_clusters(data_dir, map_slug=map_slug, eps_km=eps_km,
-                           min_pts=min_pts, res=res)
+    members = geo_clusters(data_dir)
     if members.count() == 0:
         return _DIAM_SCHEMA.empty_table().to_pandas()
 
@@ -845,7 +767,7 @@ def geo_cluster_diameter(data_dir: str, *, map_slug: str = "serbia_pbf",
             "cluster_id": pa.array(df["cluster_id"]
                                    .to_numpy(np.int64))})
 
-    points = named_ctv_deduped(data_dir, map_slug=map_slug) \
+    points = named_ctv_deduped(data_dir) \
         .map_batches(_to_nodes, batch_format="pyarrow")
     np_ = widths.join_partitions(members.count(), 50_000)
     j = members.map_batches(encode, batch_format="pyarrow") \
@@ -877,10 +799,9 @@ _RANGE_SCHEMA = pa.schema([
     ("dist_km", pa.float64())])
 
 
-def geo_range_join(data_dir: str, *, map_slug: str = "serbia_pbf",
-                   eps_km: float = RANGE_EPS_KM, res: int = RES) -> rd.Dataset:
+def geo_range_join(data_dir: str) -> rd.Dataset:
     """Distance-band spatial self-join over the deduped named-CTV
-    points: every pair of distinct named places within ``eps_km``
+    points: every pair of distinct named places within ``RANGE_EPS_KM``
     (great-circle), emitted once (``node_a < node_b``) with the 6-dp
     rounded distance — the gate reads the ROUNDED value (same rule as
     ``geo.nearest_tile_batch``) so numpy-vs-DuckDB trig ulps cannot
@@ -891,16 +812,15 @@ def geo_range_join(data_dir: str, *, map_slug: str = "serbia_pbf",
     ``wikibase:around`` circles in sparql/*.sparql) from
     one-point-vs-one-point to the corpus-level band join the north rule
     asks of a spatial engine.  Mining is ``mined_eps_pairs`` (shared
-    with DBSCAN): 9-cell replication at a resolution whose cell size
-    exceeds ``eps_km``, fine-cell hash into bounded meta-buckets, one
+    with DBSCAN): the ring-1 range join of ``geo`` at a resolution whose
+    cell size exceeds the eps, fine-cell hash into bounded buckets, one
     vectorized chunked expansion per group — work per group is bounded
     by eps-density, never all-pairs, and the output streams (no
     driver-side pair list)."""
-    mined = mined_eps_pairs(data_dir, map_slug=map_slug, eps_km=eps_km,
-                            res=res)
+    mined = mined_eps_pairs(data_dir)
 
     def decode(b: pa.Table) -> pa.Table:
-        t = b.filter(pc.less_equal(b["dist_km"], eps_km))
+        t = b.filter(pc.less_equal(b["dist_km"], RANGE_EPS_KM))
         na = t["doc_a"].to_numpy(zero_copy_only=False)
         nb = t["doc_b"].to_numpy(zero_copy_only=False)
         return pa.table({
@@ -919,12 +839,12 @@ def geo_range_join(data_dir: str, *, map_slug: str = "serbia_pbf",
 # Ripley's K point-pattern statistic
 # ---------------------------------------------------------------------------
 
+#: Ripley radii; bins beyond the mining eps would see no pairs
 RIPLEY_BINS = (0.1, 0.2, 0.3, 0.4, 0.5)
+assert max(RIPLEY_BINS) <= EPS_KM
 
 
-def ripley_k(data_dir: str, *, map_slug: str = "serbia_pbf",
-             eps_km: float = EPS_KM, res: int = RES,
-             bins: tuple = RIPLEY_BINS) -> pd.DataFrame:
+def ripley_k(data_dir: str) -> pd.DataFrame:
     """Ripley's K clustering curve over the deduped named-CTV points:
     for each radius r, the count of unordered point pairs within r
     (great-circle, 6-dp-rounded before the gate) and the
@@ -936,14 +856,12 @@ def ripley_k(data_dir: str, *, map_slug: str = "serbia_pbf",
     binary DBSCAN verdict.
 
     Shape: the pair set is ``mined_eps_pairs`` (shared with DBSCAN /
-    ``geo_range_join`` — one corpus mine per sweep, bins must stay
-    <= the mining eps); per-batch bin counts reduce to len(bins) rows,
+    ``geo_range_join`` — one corpus mine per sweep); per-batch bin
+    counts reduce to len(RIPLEY_BINS) rows,
     and n is one count() over the materialized point projection.
     Nothing pair-shaped reaches the driver."""
-    assert max(bins) <= eps_km, "bins beyond the mining eps see no pairs"
-    mined = mined_eps_pairs(data_dir, map_slug=map_slug, eps_km=eps_km,
-                            res=res)
-    edges = np.asarray(bins, dtype=np.float64)
+    mined = mined_eps_pairs(data_dir)
+    edges = np.asarray(RIPLEY_BINS, dtype=np.float64)
 
     def partial(b: pa.Table) -> pa.Table:
         d = b["dist_km"].to_numpy(zero_copy_only=False)
@@ -958,7 +876,7 @@ def ripley_k(data_dir: str, *, map_slug: str = "serbia_pbf",
     out = pd.DataFrame({"r_km": edges})
     out = out.merge(agg, on="r_km", how="left")
     out["n_pairs"] = out["n_pairs"].fillna(0).astype(np.int64)
-    n = named_ctv_deduped(data_dir, map_slug=map_slug).count()
+    n = named_ctv_deduped(data_dir).count()
     out["k_over_a"] = (2.0 * out["n_pairs"].to_numpy(np.float64)) \
         / (n * n)
     return out.sort_values("r_km").reset_index(drop=True)
@@ -971,9 +889,10 @@ def ripley_k(data_dir: str, *, map_slug: str = "serbia_pbf",
 #: semivariogram distance-bin edges — bins are (prev, cur] on the 6-dp
 #: rounded distance; must stay <= the mining eps (same rule as Ripley).
 VARIO_BINS = RIPLEY_BINS
+assert max(VARIO_BINS) <= EPS_KM
 
 
-def _node_values(data_dir: str, *, map_slug: str) -> tuple:
+def _node_values(data_dir: str) -> tuple:
     """Sorted (node, value) arrays of the deduped named-CTV points —
     value is the CHARACTER length of the place name (code points, the
     same count DuckDB's ``length(varchar)`` returns).  The named-CTV
@@ -981,7 +900,7 @@ def _node_values(data_dir: str, *, map_slug: str) -> tuple:
     only), so the map broadcasts once via ``ray.put``; a corpus whose
     named-point universe outgrew worker heaps would switch this to the
     ``dedup_apply`` distributed-join rule."""
-    pts = named_ctv_deduped(data_dir, map_slug=map_slug) \
+    pts = named_ctv_deduped(data_dir) \
         .map_batches(
             lambda b: pa.table({
                 "node": _to_nodes(b)["node"],
@@ -991,9 +910,7 @@ def _node_values(data_dir: str, *, map_slug: str) -> tuple:
     return (pts["node"].to_numpy(np.int64), pts["val"].to_numpy(np.int64))
 
 
-def semivariogram(data_dir: str, *, map_slug: str = "serbia_pbf",
-                  eps_km: float = EPS_KM, res: int = RES,
-                  bins: tuple = VARIO_BINS) -> pd.DataFrame:
+def semivariogram(data_dir: str) -> pd.DataFrame:
     """Empirical semivariogram of name length over the deduped
     named-CTV points: gamma(h) = sum (v_a - v_b)^2 / (2 * n_pairs)
     for unordered point pairs whose 6-dp rounded great-circle distance
@@ -1005,15 +922,13 @@ def semivariogram(data_dir: str, *, map_slug: str = "serbia_pbf",
     Shape: pairs come from the shared ``mined_eps_pairs`` cache (one
     corpus mine per driver sweep); per-pair values arrive via ONE
     broadcast node->value map (never a shuffle of the pair stream);
-    per-batch bin partials are <= len(bins) integer rows (squared-diff
+    per-batch bin partials are <= len(VARIO_BINS) integer rows (squared-diff
     sums are exact int64), and only non-empty bins are emitted so the
     float division cannot see a zero denominator.  Nothing pair-shaped
     reaches the driver."""
-    assert max(bins) <= eps_km, "bins beyond the mining eps see no pairs"
-    mined = mined_eps_pairs(data_dir, map_slug=map_slug, eps_km=eps_km,
-                            res=res)
-    ref = ray.put(_node_values(data_dir, map_slug=map_slug))
-    edges = np.asarray(bins, dtype=np.float64)
+    mined = mined_eps_pairs(data_dir)
+    ref = ray.put(_node_values(data_dir))
+    edges = np.asarray(VARIO_BINS, dtype=np.float64)
 
     def partial(b: pa.Table) -> pa.Table:
         nodes, vals = ray.get(ref)
@@ -1057,8 +972,7 @@ def semivariogram(data_dir: str, *, map_slug: str = "serbia_pbf",
         .sort_values("r_km").reset_index(drop=True)
 
 
-def nn_stats(data_dir: str, *, map_slug: str = "serbia_pbf",
-             eps_km: float = EPS_KM, res: int = RES) -> pd.DataFrame:
+def nn_stats(data_dir: str) -> pd.DataFrame:
     """Nearest-neighbor distance statistics within the eps band over
     the deduped named-CTV points: each point's NN distance is the min
     6-dp rounded great-circle distance among its eps-pairs (points with
@@ -1075,11 +989,10 @@ def nn_stats(data_dir: str, *, map_slug: str = "serbia_pbf",
     sums are integers (micro-km), so summation order cannot matter;
     the float conversions happen once on the final row with the same
     expression tree as the oracle."""
-    mined = mined_eps_pairs(data_dir, map_slug=map_slug, eps_km=eps_km,
-                            res=res)
+    mined = mined_eps_pairs(data_dir)
 
     def both_dirs(b: pa.Table) -> pa.Table:
-        t = b.filter(pc.less_equal(b["dist_km"], eps_km))
+        t = b.filter(pc.less_equal(b["dist_km"], EPS_KM))
         d = t["dist_km"].to_numpy(zero_copy_only=False)
         micro = np.floor(d * 1e6 + 0.5).astype(np.int64)
         node = np.concatenate([t["doc_a"].to_numpy(zero_copy_only=False),
@@ -1100,7 +1013,7 @@ def nn_stats(data_dir: str, *, map_slug: str = "serbia_pbf",
     parts = (mined.map_batches(both_dirs, batch_format="pyarrow")
              .groupby("_b").map_groups(group_min, batch_format="pandas")
              .to_pandas())
-    n_points = int(named_ctv_deduped(data_dir, map_slug=map_slug).count())
+    n_points = int(named_ctv_deduped(data_dir).count())
     if parts.empty or "cnt" not in parts.columns:
         # fully-empty mine: mirror the oracle's coalesce-to-zeros row
         parts = pd.DataFrame({"cnt": pd.array([0], dtype="int64"),

@@ -205,7 +205,7 @@ class FlagStage:
         return pd.concat(out, ignore_index=True)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        df = batch.select([c for c in batch.column_names]).to_pandas()
+        df = batch.to_pandas()
         return to_arrow(self.flags_for(df), schema.FLAGS)
 
 

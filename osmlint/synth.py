@@ -33,29 +33,19 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from . import caches, rules, spans, translit
+from .config import NEIGHBORS, SERBIA_MAP, SERBIA_SLUG
 
 SEED = 42
 DEFAULT_BASE = os.environ.get("OSMLINT_DATA", "/tmp/osmlint_synth")
 
 SERBIA_EXTENT = (42.2, 46.2, 18.8, 23.1)          # minlat, maxlat, minlon, maxlon
 SERBIA_CORE = (42.3, 46.1, 19.5, 23.0)            # country rectangle
-NEIGHBORS = {
-    # map display country: bbox (minlat, maxlat, minlon, maxlon)
-    "Bosnia-Herzegovina": (42.5, 45.3, 15.7, 19.6),
-    "Croatia": (42.4, 46.5, 13.5, 19.4),
-    "Kosovo": (41.8, 43.3, 20.0, 21.8),
-    "Macedonia": (40.8, 42.4, 20.5, 23.0),
-    "Montenegro": (41.8, 43.6, 18.4, 20.4),
-    "Slovenia": (45.4, 46.9, 13.4, 16.6),
-}
 HOTSPOTS = [  # (lat, lon, sigma, share) — Belgrade / Novi Sad / Niš skew
     (44.8167, 20.4612, 0.06, 0.28),
     (45.2517, 19.8369, 0.04, 0.10),
     (43.3209, 21.8958, 0.04, 0.05),
 ]
 
-SERBIA_SLUG = "serbia_pbf"
-SERBIA_MAP = "Serbia checks (PBF)"
 EXTENDED_MAP = "Serbia extended checks (PBF)"       # engine-added suite
 
 _CONS = list("бвгдзјклмнпрстфхцчшжђћљњџ")

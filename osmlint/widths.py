@@ -39,9 +39,6 @@ REDUCE_BUCKETS = 256
 #: fixed user/doc-hash bucket count of the per-key keyed shuffles
 #: (event operators, the named-CTV doc dedup, the hot-name count)
 KEY_BUCKETS = 64
-#: name-hash salt of the dup-name cell groups: splits hot cells while
-#: keeping same-name docs together (raise with ``dupnames``' ``res``)
-NAME_BUCKETS = 16
 
 #: 64-bit golden-ratio multiplier of the integer bucket hash
 GOLDEN = np.uint64(0x9E3779B97F4A7C15)

@@ -169,7 +169,8 @@ def test_r4_ops_oracle_parity_sf01(ray_session, name):
     "corpus_split_leakfree", "events_props_extract",
     "geo_semivariogram", "geo_nn_stats",
     "geo_kernel_surface", "geo_bearing_rose", "dedup_apply_quality",
-    "geo_pip_gaps", "geo_hilbert_index", "lint_flags_by_tile"])
+    "geo_pip_gaps", "geo_hilbert_index", "lint_flags_by_tile",
+    "knn_dup_names"])
 # geo_cluster_diameter is EXCLUDED from the sf0.1 oracle sweep on
 # purpose: its oracle embeds the 48-round DBSCAN closure SQL, which
 # DuckDB takes hours to materialize at sf0.1 (the engine side is
@@ -180,7 +181,8 @@ def test_r4_ops_oracle_parity_sf01(ray_session, name):
 def test_r4c_ops_oracle_parity_sf01(ray_session, name):
     import duckdb
 
-    from osmlint import geocluster, geostats, oracle_sql, synth, textops
+    from osmlint import (dupnames, geocluster, geostats, oracle_sql, synth,
+                         textops)
     from osmlint import queries as qmod
     got = qmod.ray_queries()[name](_EVENTS_SF01)
     if hasattr(got, "to_pandas"):
@@ -213,6 +215,8 @@ def test_r4c_ops_oracle_parity_sf01(ray_session, name):
         "geo_pip_gaps": oracle_sql.pip_gaps_sql(d, res),
         "geo_hilbert_index": oracle_sql.hilbert_index_sql(d, res),
         "lint_flags_by_tile": oracle_sql.lint_flags_by_tile_sql(d),
+        "knn_dup_names": oracle_sql.knn_dup_names_sql(
+            d, dupnames.DEFAULT_RADIUS_KM, dupnames.MAX_NAME_FREQ),
     }[name]
     exp = con.execute(sql).df()
     g, e = _events_canon(got), _events_canon(exp)
