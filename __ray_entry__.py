@@ -19,7 +19,7 @@ from typing import Any
 def entry() -> Any:
     """Flagship pipeline on /root/testdata/sf0.001; driver checks rows>=0."""
     from osmlint import queries
-    return queries.lint_flags("/root/testdata/sf0.001")
+    return queries.ray_queries()["lint_flags"]("/root/testdata/sf0.001")
 
 
 def queries() -> dict[str, Callable[[str], Any]]:

@@ -66,21 +66,22 @@ def _consume(result) -> int:
 
 def headline_queries():
     from osmlint import queries as q
+    qs = q.ray_queries()
     return {
-        "lint_flags": q.lint_flags,              # flagship: decode+PIP+checks+dedup
-        "lint_summary_per_map": q.lint_summary_per_map,
-        "pip_tile_join": q.pip_tile_join,
-        "knn_dup_names": q.knn_dup_names,
+        "lint_flags": qs["lint_flags"],          # flagship: decode+PIP+checks+dedup
+        "lint_summary_per_map": qs["lint_summary_per_map"],
+        "pip_tile_join": qs["pip_tile_join"],
+        "knn_dup_names": qs["knn_dup_names"],
         # A+B composition: the full check chain with PIP tiling carried
         # through — pinned here so a regression in the no-join merge-back
         # design shows up as a wall-time number, not just a parity test
-        "lint_flags_by_tile": q.lint_flags_by_tile,
+        "lint_flags_by_tile": qs["lint_flags_by_tile"],
         # geostats share ONE eps-pair mine + DBSCAN member cache per
         # input fingerprint: geo_clusters pays for the mine, geo_nn_stats
         # must then be near-free — pinning both guards the shared-cache
         # design against a change that silently re-mines per query
-        "geo_clusters": q.geo_clusters,
-        "geo_nn_stats": q.geo_nn_stats,
+        "geo_clusters": qs["geo_clusters"],
+        "geo_nn_stats": qs["geo_nn_stats"],
     }
 
 

@@ -55,9 +55,7 @@ def cell_ixy(lat, lon, res: int):
     lat = np.asarray(lat, dtype=np.float64)
     ix = np.floor((lon + 180.0) / 360.0 * n).astype(np.int64)
     iy = np.floor((90.0 - lat) / 180.0 * n).astype(np.int64)
-    np.clip(ix, 0, n - 1, out=ix)
-    np.clip(iy, 0, n - 1, out=iy)
-    return ix, iy
+    return np.clip(ix, 0, n - 1), np.clip(iy, 0, n - 1)
 
 
 def cell_id(lat, lon, res: int):

@@ -15,7 +15,7 @@ conventions shared with ``queries.cell_index`` / ``cell_density_smooth``):
   with a fixed distance cutoff — the QGIS-heatmap kernel.
 
 Ray-Data shape: ONE corpus pass builds the grid-bounded per-cell count
-table (the same partial-aggregate shape as ``cell_index``); Moran/Gi*
+table (``cell_counts``, which ``cell_index`` also reads); Moran/Gi*
 then run constant x8/x9 neighbor spreads + bounded groupbys on that
 CELL-bounded table (never the corpus), and the final closed forms run
 on a table capped by the fixed grid (<= 4^res cells) — documented
@@ -68,8 +68,9 @@ def _count_partial(batch: pa.Table) -> pa.Table:
                      "n": pa.array(counts, type=pa.int64())})
 
 
-def _cell_counts(ds: rd.Dataset) -> rd.Dataset:
-    """Grid-bounded per-cell doc counts (the one corpus pass)."""
+def cell_counts(ds: rd.Dataset) -> rd.Dataset:
+    """Grid-bounded per-cell doc counts ``(cell_id, n)`` (the one corpus
+    pass): the per-cell count every grid rollup reads."""
     return (ds.map_batches(_count_partial, batch_format="pyarrow")
             .groupby("cell_id").aggregate(Sum("n", alias_name="n")))
 
@@ -94,7 +95,7 @@ def _spread(batch: pa.Table, *, include_self: bool) -> pa.Table:
     return pa.concat_tables(outs)
 
 
-def _neighbor_sums(counts: rd.Dataset, *, include_self: bool) -> pd.DataFrame:
+def neighbor_sums(counts: rd.Dataset, *, include_self: bool) -> pd.DataFrame:
     """Occupied cells joined with their occupied-neighbor (sum, count)."""
     nbr = (counts.map_batches(_spread, batch_format="pyarrow",
                               fn_kwargs={"include_self": include_self})
@@ -130,8 +131,8 @@ def moran_i(data_dir: str) -> pd.DataFrame:
     exact Python ints (see module docstring).  S0 = 0 (no adjacent
     occupied cells) or a zero variance yields an empty result — both
     sides agree."""
-    counts = _cell_counts(pipeline.decoded(data_dir)).materialize()
-    df = _neighbor_sums(counts, include_self=False)
+    counts = cell_counts(pipeline.decoded(data_dir)).materialize()
+    df = neighbor_sums(counts, include_self=False)
     n = len(df)
     ns = [int(v) for v in df["n"].tolist()]
     ts = [int(v) for v in df["t"].tolist()]
@@ -171,8 +172,8 @@ def gi_star(data_dir: str) -> pd.DataFrame:
     (zero variance, w_i = n, or n = 1) are filtered on BOTH sides
     rather than emitted as NULL.  Everything after the corpus pass is
     grid-bounded; z is 6-dp floor-rounded on both sides."""
-    counts = _cell_counts(pipeline.decoded(data_dir)).materialize()
-    df = _neighbor_sums(counts, include_self=True)
+    counts = cell_counts(pipeline.decoded(data_dir)).materialize()
+    df = neighbor_sums(counts, include_self=True)
     n = len(df)
     out_empty = pd.DataFrame({
         "cell_id": pd.Series([], dtype=np.int64),
@@ -450,7 +451,7 @@ def hilbert_index(data_dir: str) -> pd.DataFrame:
     Shape: ONE corpus pass builds the grid-bounded count table; the
     curve transform is res integer bit-steps on that bounded table —
     nothing corpus-sized is touched again."""
-    counts = _cell_counts(pipeline.decoded(data_dir)).to_pandas()
+    counts = cell_counts(pipeline.decoded(data_dir)).to_pandas()
     c = counts["cell_id"].to_numpy(np.int64)
     n = counts["n"].to_numpy(np.int64)
     hd = _hilbert_d(c % N_SIDE, c // N_SIDE, CELL_RES)

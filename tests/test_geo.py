@@ -27,6 +27,21 @@ def test_cell_id_formula():
     assert geo.cell_id(lat, lon, res)[0] == iy * n + ix
 
 
+def test_cell_scalar_matches_one_element_array():
+    # scalar input, including points the grid-edge clip moves, is element
+    # 0 of the same call on 1-element arrays
+    for lat, lon in [(44.8, 20.46), (-90.0, 180.0), (95.0, -200.0)]:
+        a_lat, a_lon = np.array([lat]), np.array([lon])
+        for res in (8, 15):
+            ix, iy = geo.cell_ixy(lat, lon, res)
+            ax, ay = geo.cell_ixy(a_lat, a_lon, res)
+            assert (ix, iy) == (ax[0], ay[0])
+            assert geo.cell_id(lat, lon, res) == \
+                geo.cell_id(a_lat, a_lon, res)[0]
+        assert geo.morton_cell(lat, lon, 8) == \
+            geo.morton_cell(a_lat, a_lon, 8)[0]
+
+
 def test_cell_parent_containment():
     rng = np.random.default_rng(0)
     lat = rng.uniform(-89, 89, 1000)
@@ -130,10 +145,10 @@ def test_nearest_tile_brute_force(ray_session):
     import numpy as np
     import pyarrow.parquet as pq
 
-    from osmlint import geo, queries
+    from osmlint import geo, queries, synth
     sf = "/root/testdata/sf0.001"
     out = queries.nearest_tile(sf).to_pandas()
-    d = queries._synth(sf)
+    d = synth.generate(sf)
     tiles = pq.read_table(d + "/tiles.parquet").to_pandas() \
         .sort_values("tile_id")
     flat = pq.read_table(

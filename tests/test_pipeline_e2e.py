@@ -135,9 +135,9 @@ def test_config_from_json(synth_small):
 
 
 def test_media_dedup_keeper_semantics(ray_session):
-    from osmlint import media, queries
+    from osmlint import media, synth
     sf = "/root/testdata/sf0.001"
-    d = queries._synth(sf)
+    d = synth.generate(sf)
     out = media.media_dedup(d).to_pandas()
     feats = media.media_features(d).to_pandas()
     # keeper is the lexicographic min doc_id of its phash group; copy
@@ -157,7 +157,7 @@ def test_lint_flags_by_tile_consistent(ray_session):
     from osmlint import queries as qmod
     sf = "/root/testdata/sf0.001"
     rolled = qmod.lint_flags_by_tile(sf)
-    flags = qmod.lint_flags(sf).to_pandas()
+    flags = qmod.ray_queries()["lint_flags"](sf).to_pandas()
     assert int(rolled["n_results"].sum()) == len(flags)
     assert int(rolled["n_errors"].sum()) == \
         int((flags["result"] == "CHECKED_ERROR").sum())

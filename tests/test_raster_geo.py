@@ -12,7 +12,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from osmlint import geo, oracle_sql, pipeline
+from osmlint import geo, oracle_sql, pipeline, synth
 from osmlint import queries as qmod
 
 _SF01 = "/root/testdata/sf0.01"
@@ -29,15 +29,15 @@ def _canon(df):
 
 
 def _oracle(name, sf_dir):
-    from osmlint.queries import _geocluster, _raster, _synth
-    d = _synth(sf_dir)
+    from osmlint import geocluster, raster
+    d = synth.generate(sf_dir)
     return {
         "cell_pyramid": lambda: oracle_sql.cell_pyramid_sql(
             d, pipeline.CELL_RES),
         "geo_range_join": lambda: oracle_sql.geo_range_join_sql(
-            d, _geocluster().RANGE_EPS_KM),
+            d, geocluster.RANGE_EPS_KM),
         "raster_polygonize": lambda: oracle_sql.raster_polygonize_sql(
-            d, _raster().POLY_RES, _raster().POLY_K),
+            d, raster.POLY_RES, raster.POLY_K),
     }[name]()
 
 
@@ -123,7 +123,7 @@ def test_geo_range_join_invariants(ray_session):
     pairs = qmod.ray_queries()["geo_range_join"](
         "/root/testdata/sf0.001").to_pandas()
     pts = geocluster.named_ctv_deduped(
-        qmod._synth("/root/testdata/sf0.001")).map_batches(
+        synth.generate("/root/testdata/sf0.001")).map_batches(
         geocluster._to_nodes, batch_format="pyarrow").to_pandas()
     lat = pts["lat"].to_numpy()
     lon = pts["lon"].to_numpy()
@@ -141,7 +141,7 @@ def test_raster_polygonize_invariants(ray_session):
     assert len(out) > 1          # multiple hotspot regions at gate scale
     n_side = 1 << raster.POLY_RES
     # regions are disjoint: total cells equal the thresholded band size
-    d = qmod._synth(_SF01)
+    d = synth.generate(_SF01)
     band = raster.band_at(d, raster.POLY_RES)
     dens = band["density"].to_numpy(np.int64)
     sel = dens * np.int64(len(band)) >= raster.POLY_K * np.int64(dens.sum())
