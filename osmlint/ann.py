@@ -29,13 +29,18 @@ import ray.data as rd
 from . import widths
 from .metrics import split_cap_sentinels
 
+#: neighbors per query vector / graph node (top-k, k-NN graph, PQ ADC)
+K_NEIGHBORS = 5
+#: the query set of the top-k searches: vectors ``vec_id < N_QUERIES``
+N_QUERIES = 4
+#: embedding width of the driver ``embeddings`` table
+EMB_DIM = 64
+#: cosine threshold of the pair miners: the synthetic embeddings' max
+#: pairwise cosine is ~0.51, so 0.5 matches a small non-trivial set
+COS_TAU = 0.5
 
-def _split_cap_sentinels(cand: rd.Dataset, query: str,
-                         id_col: str) -> rd.Dataset:
-    return split_cap_sentinels(cand, LAST_METRICS, query, id_col,
-                               _PAIR_SCHEMA)
 
-
+# coalesce: False in topk_neighbors, True in topk_neighbors_ivf (IVF groupby)
 def read_embeddings(sf_dir: str, *, coalesce: bool = False) -> rd.Dataset:
     """``coalesce=True`` sizes read blocks by bytes (~128 MB each, the
     Ray default target) instead of letting tiny files split to
@@ -76,8 +81,9 @@ def _query_vectors(sf_dir: str, n_queries: int) -> pa.Table:
                          filters=[("vec_id", "<", n_queries)])
 
 
-def topk_neighbors(sf_dir: str, k: int = 5, n_queries: int = 4) -> pd.DataFrame:
-    """Exact top-k cosine neighbors of the first ``n_queries`` vectors."""
+def topk_neighbors(sf_dir: str) -> pd.DataFrame:
+    """Exact top-``K_NEIGHBORS`` cosine neighbors of the first N_QUERIES."""
+    k, n_queries = K_NEIGHBORS, N_QUERIES
     q_ids, q_mat = _batch_matrix(_query_vectors(sf_dir, n_queries))
     q_ref = ray.put((q_ids, _normalize(q_mat)))
 
@@ -111,14 +117,15 @@ def topk_neighbors(sf_dir: str, k: int = 5, n_queries: int = 4) -> pd.DataFrame:
 MAX_EXACT_PAIR_ROWS = 200_000   # hard guard on the O(N^2) exact baseline
 
 
-def cosine_pairs(sf_dir: str, tau: float = 0.8) -> pd.DataFrame:
-    """Exact near-duplicate pairs: cosine ≥ τ, vec_a < vec_b (brute
+def cosine_pairs(sf_dir: str) -> pd.DataFrame:
+    """Exact near-duplicate pairs: cosine ≥ COS_TAU, vec_a < vec_b (brute
     baseline; full normalized matrix broadcast once, batch×all matmul).
 
     This is the O(N^2) ORACLE ANCHOR, not a scale path: it refuses inputs
     above ``MAX_EXACT_PAIR_ROWS`` so it cannot be pointed at a 100 TB table
     by accident — use ``cosine_pairs_lsh`` there."""
     import pyarrow.parquet as pq
+    tau = COS_TAU
     path = os.path.join(sf_dir, "embeddings.parquet")
     n_rows = pq.ParquetFile(path).metadata.num_rows
     if n_rows > MAX_EXACT_PAIR_ROWS:
@@ -182,8 +189,7 @@ def _n_bits_for(n_rows: int) -> int:
     return bits
 
 
-def cosine_pairs_lsh(sf_dir: str, tau: float = 0.8, dim: int = 64,
-                     max_bucket: int = MAX_BUCKET) -> pd.DataFrame:
+def cosine_pairs_lsh(sf_dir: str) -> pd.DataFrame:
     """Scale path for near-duplicate pair mining: random-hyperplane LSH.
 
     Shuffle shape (the 100 TB story): the signature pass emits ONLY
@@ -203,6 +209,7 @@ def cosine_pairs_lsh(sf_dir: str, tau: float = 0.8, dim: int = 64,
     dropped-doc total land in ``LAST_METRICS['cosine_pairs_lsh']`` and a
     warning is logged.  Recall collapse can't be silent."""
     import pyarrow.parquet as pq
+    tau, dim, max_bucket = COS_TAU, EMB_DIM, MAX_BUCKET
     n_rows = pq.ParquetFile(
         os.path.join(sf_dir, "embeddings.parquet")).metadata.num_rows
     n_bits = _n_bits_for(n_rows)
@@ -258,7 +265,8 @@ def cosine_pairs_lsh(sf_dir: str, tau: float = 0.8, dim: int = 64,
     cand = sigs.groupby("mb").map_groups(mine, batch_format="pandas") \
         .map_batches(bucketize_pairs, batch_format="pyarrow") \
         .groupby("_mb").map_groups(dedup, batch_format="pandas")
-    cand = _split_cap_sentinels(cand, "cosine_pairs_lsh", "vec_a")
+    cand = split_cap_sentinels(cand, LAST_METRICS, "cosine_pairs_lsh",
+                               "vec_a", _PAIR_SCHEMA)
     # Ray's join finalizer crashes on an EMPTY left dataset (empty
     # partitions are fine — verified incl. hub keys): bail on zero
     # candidates; the partition-count scaling is small-scale perf tuning
@@ -370,8 +378,8 @@ def _kmeans(sample: np.ndarray, k: int, iters: int, seed: int = 11):
     return cent
 
 
-def topk_neighbors_ivf(sf_dir: str, k: int = 5, n_queries: int = 4,
-                       n_lists: int = IVF_K,
+# nprobe: IVF_NPROBE for ann_topk_ivf, IVF_K for ann_topk_ivf_fullprobe
+def topk_neighbors_ivf(sf_dir: str,
                        nprobe: int = IVF_NPROBE) -> pd.DataFrame:
     """Approximate top-k via an IVF index: k-means coarse centroids built
     from a driver-side sample, vectors routed to their nearest list by a
@@ -383,7 +391,8 @@ def topk_neighbors_ivf(sf_dir: str, k: int = 5, n_queries: int = 4,
     No driver-side full-table read: the k-means training sample is a
     ``limit(IVF_SAMPLE)`` slice of the streamed Dataset (only the needed
     blocks are pulled) and the query vectors come from a row-group-pruned
-    parquet read filtered to ``vec_id < n_queries``."""
+    parquet read filtered to ``vec_id < N_QUERIES``."""
+    k, n_queries, n_lists = K_NEIGHBORS, N_QUERIES, IVF_K
     sample_df = read_embeddings(sf_dir).limit(IVF_SAMPLE).to_pandas()
     s_mat = np.stack(sample_df["embedding"].to_numpy()).astype(np.float64)
     sample = _normalize(s_mat)
@@ -518,7 +527,7 @@ def embedding_centroids(sf_dir: str) -> pd.DataFrame:
     return out.sort_values(["label", "dim_idx"]).reset_index(drop=True)
 
 
-def knn_graph(sf_dir: str, k: int = 5) -> pd.DataFrame:
+def knn_graph(sf_dir: str) -> pd.DataFrame:
     """Exact k-NN graph over ALL vectors (the backbone structure for
     embedding clustering / diversity pruning): per batch one matmul
     against the broadcast normalized matrix, per-row top-k partials,
@@ -529,6 +538,7 @@ def knn_graph(sf_dir: str, k: int = 5) -> pd.DataFrame:
     path for neighbor structure is the IVF index / LSH pair miner;
     this is the exact baseline they are judged against)."""
     import pyarrow.parquet as pq
+    k = K_NEIGHBORS
     path = os.path.join(sf_dir, "embeddings.parquet")
     n_rows = pq.ParquetFile(path).metadata.num_rows
     if n_rows > MAX_EXACT_PAIR_ROWS:
@@ -579,9 +589,7 @@ KMEANS_TOL = 1e-6
 KMEANS_LAST_INFO: dict = {}
 
 
-def embedding_kmeans(sf_dir: str, k: int = KMEANS_K,
-                     max_iters: int = KMEANS_MAX_ITERS,
-                     tol: float = KMEANS_TOL) -> pd.DataFrame:
+def embedding_kmeans(sf_dir: str) -> pd.DataFrame:
     """Full distributed Lloyd's k-means over ALL embeddings — the
     engine's iterative-algorithm representative (IVF uses a driver-side
     sample; this one never materializes the table).
@@ -596,6 +604,7 @@ def embedding_kmeans(sf_dir: str, k: int = KMEANS_K,
     Rows-only check by design: an iterative fixpoint is not
     SQL-expressible — invariants are pytest-asserted instead."""
     from ray.data.aggregate import Sum
+    k, max_iters, tol = KMEANS_K, KMEANS_MAX_ITERS, KMEANS_TOL
     q_ids, q_mat = _batch_matrix(_query_vectors(sf_dir, k))
     order = np.argsort(q_ids)
     cent = _normalize(q_mat[order]).astype(np.float64)
@@ -670,8 +679,9 @@ def _empty_knn_parts() -> pa.Table:
                      "sim": pa.array([], type=pa.float64())})
 
 
-def knn_graph_ivf(sf_dir: str, k: int = 5, n_lists: int = IVF_K,
-                  nprobe: int = IVF_NPROBE, as_dataset: bool = False):
+# nprobe, as_dataset: knn_graph_ivf entry vs knn_pagerank (IVF_K, Dataset)
+def knn_graph_ivf(sf_dir: str, nprobe: int = IVF_NPROBE,
+                  as_dataset: bool = False):
     """Approximate k-NN graph over ALL vectors through the IVF index —
     the scale path ``knn_graph`` (exact, O(N^2)-guarded at
     ``MAX_EXACT_PAIR_ROWS``) deliberately refuses to be.
@@ -692,9 +702,10 @@ def knn_graph_ivf(sf_dir: str, k: int = 5, n_lists: int = IVF_K,
     (nprobe == n_lists, every list scanned) is exact BY CONSTRUCTION and
     carries the hard ``knn_graph`` SQL oracle, same pattern as
     ``ann_topk_ivf_fullprobe``."""
+    k = K_NEIGHBORS
     sample_df = read_embeddings(sf_dir).limit(IVF_SAMPLE).to_pandas()
     s_mat = np.stack(sample_df["embedding"].to_numpy()).astype(np.float64)
-    cent = _kmeans(_normalize(s_mat), n_lists, IVF_ITERS)
+    cent = _kmeans(_normalize(s_mat), IVF_K, IVF_ITERS)
     nprobe = min(nprobe, len(cent))
     cent_ref = ray.put(cent)
 
@@ -768,18 +779,17 @@ def knn_graph_ivf(sf_dir: str, k: int = 5, n_lists: int = IVF_K,
     return df.sort_values(["vec_id", "rank"]).reset_index(drop=True)
 
 
-def knn_graph_ivf_fullprobe(sf_dir: str, k: int = 5,
-                            n_lists: int = IVF_K) -> pd.DataFrame:
+def knn_graph_ivf_fullprobe(sf_dir: str) -> pd.DataFrame:
     """nprobe == n_lists: every vector probes every list, so every
     (vector, candidate) pair is scored exactly once (each candidate is a
     member of exactly one list) — the result equals the exact
     ``knn_graph`` BY CONSTRUCTION and carries its hard SQL oracle,
     exercising the full IVF routing/replication/per-list/reduce
     machinery with the approximation switched off."""
-    return knn_graph_ivf(sf_dir, k=k, n_lists=n_lists, nprobe=n_lists)
+    return knn_graph_ivf(sf_dir, nprobe=IVF_K)
 
 
-def embedding_kmeans_1iter(sf_dir: str, k: int = KMEANS_K) -> pd.DataFrame:
+def embedding_kmeans_1iter(sf_dir: str) -> pd.DataFrame:
     """ONE Lloyd iteration from the fixed seed centroids (the k lowest
     vec_ids' normalized vectors — the same init as ``embedding_kmeans``)
     — a single assign + mean step IS SQL-expressible (argmin join + AVG
@@ -793,7 +803,7 @@ def embedding_kmeans_1iter(sf_dir: str, k: int = KMEANS_K) -> pd.DataFrame:
     ``embedding_centroids`` precedent).  Every seed is a data vector
     (distance 0 to itself), so no cluster is ever empty."""
     from ray.data.aggregate import Sum
-    q_ids, q_mat = _batch_matrix(_query_vectors(sf_dir, k))
+    q_ids, q_mat = _batch_matrix(_query_vectors(sf_dir, KMEANS_K))
     order = np.argsort(q_ids)
     cent = _normalize(q_mat[order]).astype(np.float64)
     dim = cent.shape[1]
@@ -830,7 +840,7 @@ def embedding_kmeans_1iter(sf_dir: str, k: int = KMEANS_K) -> pd.DataFrame:
     return out.sort_values(["cluster", "dim_idx"]).reset_index(drop=True)
 
 
-def dedup_cosine_clusters(sf_dir: str, tau: float = 0.8) -> pd.DataFrame:
+def dedup_cosine_clusters(sf_dir: str) -> pd.DataFrame:
     """Embedding near-duplicate CLUSTERS: cosine pairs from the LSH scale
     miner -> transitive closure (``graph.cluster_labels``) ->
     ``(vec_id, cluster_id, cluster_size)``, cluster_id = minimum member
@@ -841,7 +851,7 @@ def dedup_cosine_clusters(sf_dir: str, tau: float = 0.8) -> pd.DataFrame:
     scale (seed-pinned, same caveat as ``embedding_cosine_pairs_lsh``);
     the oracle is a recursive CTE over the exact cosine pair SQL."""
     from . import graph
-    pairs = cosine_pairs_lsh(sf_dir, tau)
+    pairs = cosine_pairs_lsh(sf_dir)
     if pairs.empty:
         return pd.DataFrame({"vec_id": pd.Series(dtype=np.int64),
                              "cluster_id": pd.Series(dtype=np.int64),
@@ -861,24 +871,24 @@ JL_OUT_DIM = 16
 JL_SEED = 1234
 
 
-def jl_matrix(dim: int = 64, out_dim: int = JL_OUT_DIM) -> np.ndarray:
+def jl_matrix() -> np.ndarray:
     """Deterministic Rademacher projection matrix (+-1 entries; Achlioptas
     2003 — database-friendly JL): integer entries embed EXACTLY into the
     oracle's SQL VALUES table, and the 1/sqrt(out_dim)=1/4 scale is a
     power of two, so engine and oracle compute bit-identical products up
     to summation order."""
     rng = np.random.default_rng(JL_SEED)
-    return rng.choice(np.array([-1.0, 1.0]), size=(dim, out_dim))
+    return rng.choice(np.array([-1.0, 1.0]), size=(EMB_DIM, JL_OUT_DIM))
 
 
-def embedding_project(sf_dir: str, out_dim: int = JL_OUT_DIM) -> rd.Dataset:
-    """Project every embedding to ``out_dim`` dims: one broadcast of the
-    64 x out_dim matrix, per-batch float64 matmul, 6-dp floor rounding
+def embedding_project(sf_dir: str) -> rd.Dataset:
+    """Project every embedding to JL_OUT_DIM dims: one broadcast of the
+    ``jl_matrix``, per-batch float64 matmul, 6-dp floor rounding
     (the engine-wide pre-compare convention).  Long output layout
     ``(vec_id, dim_idx, value)`` — the same shape ``embedding_quantize``
     ships.  Streaming: no aggregate, no shuffle, cost is one pass."""
-    r = jl_matrix(out_dim=out_dim)
-    scale = 1.0 / np.sqrt(out_dim)
+    r = jl_matrix()
+    scale = 1.0 / np.sqrt(r.shape[1])
     ref = ray.put(r)
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -903,8 +913,7 @@ PQ_M = 8       # subspaces: 64-dim -> 8 subvectors of 8
 PQ_KSUB = 16   # centroids per subspace -> 4-bit codes, 8 x 4 = 32 bits/vec
 
 
-def _pq_codebook(sf_dir: str, m: int = PQ_M,
-                 ksub: int = PQ_KSUB) -> np.ndarray:
+def _pq_codebook(sf_dir: str, m: int, ksub: int) -> np.ndarray:
     """Deterministic sampled codebook (Jegou et al., "Product
     Quantization for Nearest Neighbor Search", TPAMI'11 — one k-means
     init step): centroid ``j`` of subspace ``s`` is the raw subvector of
@@ -935,13 +944,12 @@ def _pq_assign(mat: np.ndarray, cb: np.ndarray) -> np.ndarray:
     return codes
 
 
-def pq_encode(sf_dir: str, m: int = PQ_M,
-              ksub: int = PQ_KSUB) -> rd.Dataset:
+def pq_encode(sf_dir: str) -> rd.Dataset:
     """PQ-encode every embedding against the broadcast codebook — the
     compression stage of a billion-scale ANN index (64 floats -> m
     4-bit codes).  One streaming pass, no shuffle; long layout
     ``(vec_id, sub, code)`` so the oracle can diff every cell."""
-    cb_ref = ray.put(_pq_codebook(sf_dir, m, ksub))
+    cb_ref = ray.put(_pq_codebook(sf_dir, PQ_M, PQ_KSUB))
 
     def partial(batch: pa.Table) -> pa.Table:
         ids, mat = _batch_matrix(batch)
@@ -956,8 +964,7 @@ def pq_encode(sf_dir: str, m: int = PQ_M,
         .map_batches(partial, batch_format="pyarrow")
 
 
-def pq_topk_adc(sf_dir: str, k: int = 5, n_queries: int = 4,
-                m: int = PQ_M, ksub: int = PQ_KSUB) -> pd.DataFrame:
+def pq_topk_adc(sf_dir: str) -> pd.DataFrame:
     """Asymmetric-distance top-k: each query precomputes its
     (m x ksub) lookup table of exact subspace distances to the
     codebook; a database vector's approximate distance is the sum of
@@ -966,7 +973,8 @@ def pq_topk_adc(sf_dir: str, k: int = 5, n_queries: int = 4,
     ranking, ties neighbor asc), so the driver merges
     #blocks x n_queries x k rows — the PQ search path that replaces
     the O(n * dim) exact scan with O(n * m) byte lookups at 100 TB."""
-    cb = _pq_codebook(sf_dir, m, ksub)
+    k, n_queries, m = K_NEIGHBORS, N_QUERIES, PQ_M
+    cb = _pq_codebook(sf_dir, m, PQ_KSUB)
     q_ids, q_mat = _batch_matrix(_query_vectors(sf_dir, n_queries))
     order = np.argsort(q_ids)
     q_ids, q_mat = q_ids[order], q_mat[order]
@@ -1006,9 +1014,7 @@ def pq_topk_adc(sf_dir: str, k: int = 5, n_queries: int = 4,
         .reset_index(drop=True)
 
 
-def knn_pagerank(sf_dir: str, k: int = 5,
-                 damping: float = 0.85, iters: int = 10,
-                 small_threshold: int | None = None) -> pd.DataFrame:
+def knn_pagerank(sf_dir: str) -> pd.DataFrame:
     """Vector-centrality scores: fixed-iteration PageRank over the exact
     k-NN graph (hub embeddings score high — the classic graph-based
     quality/representativeness signal over a corpus embedding space).
@@ -1019,15 +1025,12 @@ def knn_pagerank(sf_dir: str, k: int = 5,
     from . import graph
     # fullprobe (nprobe == n_lists) == exact graph; as_dataset keeps the
     # N*k edge table distributed — it never visits the driver
-    e = knn_graph_ivf(sf_dir, k=k, n_lists=IVF_K, nprobe=IVF_K,
-                      as_dataset=True)
+    e = knn_graph_ivf(sf_dir, nprobe=IVF_K, as_dataset=True)
     edges = e.map_batches(
         lambda b: pa.table({"src": b["vec_id"].cast(pa.int64()),
                             "dst": b["neighbor_id"].cast(pa.int64())}),
         batch_format="pyarrow")
-    kw = {} if small_threshold is None \
-        else {"small_threshold": small_threshold}
-    pr = graph.pagerank(edges, damping=damping, iters=iters, **kw)
+    pr = graph.pagerank(edges)
     pr["pagerank"] = np.floor(pr["pagerank"].to_numpy() * 1e6 + 0.5) / 1e6
     return pr.rename(columns={"node": "vec_id"}).reset_index(drop=True)
 
@@ -1096,7 +1099,7 @@ _FAR_SCHEMA = pa.schema([("vec_id", pa.int64()),
                          ("emb", pa.binary())])
 
 
-def diversity_sample(sf_dir: str, k: int = DIVERSITY_K) -> pd.DataFrame:
+def diversity_sample(sf_dir: str) -> pd.DataFrame:
     """Gonzalez k-center greedy (farthest-point) selection over the
     embeddings — the classic coreset / diversity-sampling pass a
     training-data pipeline runs to pick maximally-spread exemplars.
@@ -1113,6 +1116,7 @@ def diversity_sample(sf_dir: str, k: int = DIVERSITY_K) -> pd.DataFrame:
     is O(k * N * dim); for k beyond ~64 switch the per-batch kernel to
     an incremental min (cache the previous round's per-point min and
     only score the ONE new center — same passes, O(N * dim) each)."""
+    k = DIVERSITY_K
     ds = read_embeddings(sf_dir, coalesce=True).materialize()
 
     def seed_partial(batch: pa.Table) -> pa.Table:

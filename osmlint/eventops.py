@@ -29,6 +29,7 @@ from .pipeline import to_arrow
 GAP_MIN = 30
 
 
+# columns: window_agg reads ts/event_type/value, sessionize ts/user_id
 def read_events(sf_dir: str, columns=None) -> rd.Dataset:
     return rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
                            columns=columns)
@@ -153,8 +154,7 @@ FUNNEL_STEP_B = "purchase"
 FUNNEL_WINDOW_DAYS = 7
 
 
-def funnel(sf_dir: str,
-           window_days: int = FUNNEL_WINDOW_DAYS) -> pd.DataFrame:
+def funnel(sf_dir: str) -> pd.DataFrame:
     """Two-step conversion funnel: for every user with a ``signup``,
     count ``purchase`` events inside ``[first_signup, first_signup +
     window]`` and report the first converting purchase + delay.
@@ -174,7 +174,7 @@ def funnel(sf_dir: str,
             batch["event_type"],
             value_set=pa.array([FUNNEL_STEP_A, FUNNEL_STEP_B]))))
 
-    win = np.timedelta64(window_days, "D")
+    win = np.timedelta64(FUNNEL_WINDOW_DAYS, "D")
     out_schema = pa.schema([
         ("user_id", pa.int64()), ("signup_ts", pa.timestamp("us")),
         ("n_purchases_w", pa.int64()),
@@ -347,14 +347,15 @@ def retention(sf_dir: str) -> pd.DataFrame:
 ANOMALY_Z = 3.0
 
 
-def anomalies(sf_dir: str, z_thresh: float = ANOMALY_Z) -> pd.DataFrame:
-    """Per-event-type value outliers: |z| >= z_thresh against the type's
+def anomalies(sf_dir: str) -> pd.DataFrame:
+    """Per-event-type value outliers: |z| >= ``ANOMALY_Z`` against the type's
     own population mean/std — the streaming-metrics anomaly gate.
 
     Two bounded passes: (sum, sumsq, n) partials -> a #types groupby
     gives the moments; the second pass filters with the tiny broadcast
     stats map.  z is rounded to 6 dp with the engine's floor convention
     (population std, sqrt(max(E[x^2] - mean^2, 0)))."""
+    z_thresh = ANOMALY_Z
     ds = read_events(sf_dir, columns=["event_id", "event_type", "value"])
 
     def moments(batch: pa.Table) -> pa.Table:
@@ -549,8 +550,8 @@ def props_extract(sf_dir: str) -> pd.DataFrame:
 HEAVY_TOP = 5
 
 
-def heavy_users(sf_dir: str, k: int = HEAVY_TOP) -> pd.DataFrame:
-    """Exact top-``k`` users by event count per event type — the
+def heavy_users(sf_dir: str) -> pd.DataFrame:
+    """Exact top-``HEAVY_TOP`` users by event count per event type — the
     heavy-hitter report an events pipeline ships per activity class.
     Ranking is total: ties break to the lowest user_id.
 
@@ -561,6 +562,7 @@ def heavy_users(sf_dir: str, k: int = HEAVY_TOP) -> pd.DataFrame:
     of per-bucket top-ks); the final rank runs per event type over
     <= ``widths.KEY_BUCKETS`` x k surviving rows.  Counts are integers
     end-to-end; nothing user-cardinality-sized reaches the driver."""
+    k = HEAVY_TOP
     ds = read_events(sf_dir, columns=["user_id", "event_type"])
 
     def partial(batch: pa.Table) -> pa.Table:

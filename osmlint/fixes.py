@@ -33,7 +33,7 @@ from . import checks as checks_mod
 from . import config as config_mod
 from . import translit
 from .geo import haversine_km
-from .pipeline import _resolve, broadcast_refs, decoded, to_arrow
+from .pipeline import _cached, _resolve, broadcast_refs, decoded, to_arrow
 
 FIXES_SCHEMA = pa.schema([
     ("doc_id", pa.string()), ("map_name", pa.string()),
@@ -130,15 +130,25 @@ def guess_from_wiki(names: pd.Series, lat: np.ndarray, lon: np.ndarray,
     return pd.Series(out, index=names.index, dtype=object)
 
 
-def fix_plan_batch(batch: pa.Table, wiki_ref_ref=None, wikidata_ref_ref=None,
-                   wiki_links_ref=None, map_checks=None) -> pa.Table:
+def _fix_state(wiki_ref_ref, wikidata_ref_ref, wiki_links_ref) -> tuple:
+    """``fix_plan_batch``'s per-worker lookup state (built once)."""
     wiki_ref = _resolve(wiki_ref_ref)
-    wiki_links = _resolve(wiki_links_ref)
     if wiki_ref is not None and wiki_ref.index.name != "title":
         wiki_ref = wiki_ref.drop_duplicates("title").set_index("title")
     wikidata_ref = _resolve(wikidata_ref_ref)
     if wikidata_ref is not None and wikidata_ref.index.name != "qid":
         wikidata_ref = wikidata_ref.set_index("qid")
+    by_slug = {}
+    for mc in config_mod.default_map_checks():
+        by_slug.setdefault(mc.slug, []).append(mc)
+    return wiki_ref, wikidata_ref, _resolve(wiki_links_ref), by_slug
+
+
+def fix_plan_batch(batch: pa.Table, wiki_ref_ref=None, wikidata_ref_ref=None,
+                   wiki_links_ref=None) -> pa.Table:
+    refs = (wiki_ref_ref, wikidata_ref_ref, wiki_links_ref)
+    wiki_ref, wikidata_ref, wiki_links, by_slug = _cached(
+        "fix_plan", refs, lambda: _fix_state(*refs))
 
     df = batch.to_pandas()
     rows = []
@@ -162,10 +172,6 @@ def fix_plan_batch(batch: pa.Table, wiki_ref_ref=None, wikidata_ref_ref=None,
             "message": np.asarray(message, dtype=object)[idx]
             if not isinstance(message, str) else message,
         }))
-
-    by_slug = {}
-    for mc in (map_checks or config_mod.default_map_checks()):
-        by_slug.setdefault(mc.slug, []).append(mc)
 
     for slug, grp in df.groupby("map_slug", sort=False):
         for mc in by_slug.get(slug, []):

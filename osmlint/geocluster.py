@@ -259,8 +259,7 @@ def _local_members(df: pd.DataFrame, min_pts: int) -> pd.DataFrame:
     return out.sort_values(["osm_id", "entity_type"]).reset_index(drop=True)
 
 
-def geo_clusters(data_dir: str, *,
-                 small_threshold: int | None = None) -> rd.Dataset:
+def geo_clusters(data_dir: str) -> rd.Dataset:
     """DBSCAN over the deduped named-CTV points of one map shard ->
     ``(osm_id, entity_type, cluster_id, is_core, cluster_size)`` for
     clustered points (noise dropped); ``cluster_id`` is the minimum
@@ -270,18 +269,15 @@ def geo_clusters(data_dir: str, *,
     lineage.
 
     Hybrid tail, same thresholds as ``graph.cluster_labels``: at or
-    under ``small_threshold`` eps-pairs the degree/core/closure/border
-    chain runs as ONE vectorized numpy kernel on the collected pair
-    frame; above it the fully distributed path below takes over
-    (``small_threshold=0`` forces it — the dual-path test compares
-    both)."""
+    under ``SMALL_PAIRS`` eps-pairs the degree/core/closure/border chain
+    runs as ONE vectorized numpy kernel on the collected pair frame;
+    above it the fully distributed path below takes over (the dual-path
+    test patches ``SMALL_PAIRS`` to 0 to compare both)."""
     shard = os.path.join(data_dir, "docs", f"map={MAP_SLUG}")
-    if small_threshold is None:
-        small_threshold = SMALL_PAIRS
+    small = SMALL_PAIRS
     return caches.memo(
-        ("geo_clusters", shard, caches.path_fingerprint(shard),
-         small_threshold == 0),
-        lambda: _members(data_dir, small_threshold))
+        ("geo_clusters", shard, caches.path_fingerprint(shard), small),
+        lambda: _members(data_dir, small))
 
 
 def _members(data_dir: str, small_threshold: int) -> rd.Dataset:
@@ -361,10 +357,7 @@ def _members(data_dir: str, small_threshold: int) -> rd.Dataset:
                             "doc_b": b["node"].cast(pa.int64())}),
         batch_format="pyarrow")
     labels = graph.cluster_labels(cc_edges.union(selfloops),
-                                  as_dataset=True)
-    if isinstance(labels, pd.DataFrame):
-        labels = rd.from_pandas(labels)
-    labels = labels.map_batches(
+                                  as_dataset=True).map_batches(
         lambda b: pa.table({"node": b["doc_id"].cast(pa.int64()),
                             "cluster_id": b["cluster_id"]
                             .cast(pa.int64())}),

@@ -201,13 +201,12 @@ def gi_star(data_dir: str) -> pd.DataFrame:
         "gi_z": z}).sort_values("cell_id").reset_index(drop=True)
 
 
-def kde_heatmap(data_dir: str,
-                cutoff_km: float = KDE_CUTOFF_KM) -> pd.DataFrame:
+def kde_heatmap(data_dir: str) -> pd.DataFrame:
     """Quartic-kernel density at quad-cell centers: for every cell
-    center within ``cutoff_km`` of a point, the point contributes
+    center within ``KDE_CUTOFF_KM`` of a point, the point contributes
     ``(1 - (d/cutoff)^2)^2`` (the QGIS-heatmap biweight kernel).
 
-    Candidate restriction: with ``cutoff_km`` < 1.5 cell-heights
+    Candidate restriction: with ``KDE_CUTOFF_KM`` < 1.5 cell-heights
     (res-8 cell height = 0.703125 deg ~ 78.2 km, so 1.5 cells ~ 117 km
     and the nearest center OUTSIDE a point's 3x3 window is at least
     that far), every center within the cutoff lies in the point's own
@@ -220,6 +219,7 @@ def kde_heatmap(data_dir: str,
     (``floor(w*1e6+0.5)``) BEFORE the sum, so the distributed sums are
     exact integers on both sides regardless of order.  Per-batch
     pre-aggregation keeps the shuffle grid-bounded."""
+    cutoff_km = KDE_CUTOFF_KM
     ds = pipeline.decoded(data_dir)
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -269,13 +269,12 @@ def kde_heatmap(data_dir: str,
         .sort_values("cell_id").reset_index(drop=True)
 
 
-def kernel_surface(data_dir: str,
-                   cutoff_km: float = KDE_CUTOFF_KM) -> pd.DataFrame:
+def kernel_surface(data_dir: str) -> pd.DataFrame:
     """Nadaraya-Watson kernel regression of name length at quad-cell
     centers — the attribute-interpolation companion to ``kde_heatmap``
     (an IDW-style surface WITHOUT the 1/d^2 singularity: the quartic
     kernel is bounded, so a point sitting exactly on a center cannot
-    blow up the weight).  For each center within ``cutoff_km`` of a
+    blow up the weight).  For each center within ``KDE_CUTOFF_KM`` of a
     named doc, the doc contributes weight ``(1 - (d/cutoff)^2)^2`` and
     weighted value ``w * len(name)``; the surface is the weighted mean.
 
@@ -289,6 +288,7 @@ def kernel_surface(data_dir: str,
     width: micro_w <= 1e6 and val is a name length, so a cell needs
     ~9e9 named contributions to stress int64 — beyond that the bounded
     final reduce switches to Python ints like ``moran_i``."""
+    cutoff_km = KDE_CUTOFF_KM
     ds = pipeline.decoded(data_dir)
 
     def partial(batch: pa.Table) -> pa.Table:

@@ -13,9 +13,10 @@ Two paths, picked by edge volume:
   already hand the driver.  One vectorized numpy min-label kernel with
   pointer jumping (O(E) per round, O(log n) rounds) closes it without
   paying ~6 Ray join/groupby fixed costs per propagation round.
-* **distributed** (above the threshold, or ``small_threshold=0``):
-  iterated min-label propagation over Datasets — a (src, dst)
-  both-directions edge table is materialized once, every round joins it
+* **distributed** (above the threshold; a test forces it by patching
+  ``SMALL_EDGES`` to 0): iterated min-label propagation over Datasets —
+  a (src, dst) both-directions edge table is materialized once, every
+  round joins it
   against the current labels and takes ``groupby(node).min(label)``.
   Labels only decrease, so the label SUM is the fixpoint detector
   (strictly decreases iff any label changed; one scalar to the driver
@@ -25,7 +26,7 @@ Two paths, picked by edge volume:
 
 Round count is the eccentricity of each component from its minimum node
 (<= diameter); duplicate clusters are near-cliques, so 2-4 rounds in
-practice and ``max_rounds`` bounds pathological chains.  At 10^12-edge
+practice and ``MAX_ROUNDS`` bounds pathological chains.  At 10^12-edge
 scale, swap the propagation for alternating large-star/small-star
 (Kiveris et al., "Connected Components in MapReduce and Beyond",
 SoCC'14) to bound rounds by O(log n) — same join/groupby shapes, so the
@@ -83,6 +84,9 @@ def _min_label_reduce(ds: rd.Dataset) -> rd.Dataset:
 #: local-closure ceiling: ~4M edges = 64 MB of int64 pairs on the driver —
 #: the same order as the pair-query output the driver already receives.
 SMALL_EDGES = 1 << 22
+#: propagation-round bound of the distributed closure (duplicate
+#: clusters converge in 2-4 rounds; ``LAST_INFO`` reports a cut)
+MAX_ROUNDS = 50
 
 _LABEL_SCHEMA = pa.schema([("node", pa.int64()), ("label", pa.int64())])
 
@@ -133,7 +137,7 @@ def _endpoints(batch: pa.Table) -> pa.Table:
 
 
 #: exposed after every closure: rounds used + whether the propagation
-#: converged (the "no silent caps" surface for the max_rounds bound).
+#: converged (the "no silent caps" surface for the MAX_ROUNDS bound).
 LAST_INFO: dict = {}
 
 
@@ -170,7 +174,7 @@ def _distributed_components(edges: rd.Dataset, n_edges: int,
         import logging
         logging.getLogger(__name__).warning(
             "connected_components did NOT converge in %d rounds — labels "
-            "are an over-segmentation; raise max_rounds (or switch to "
+            "are an over-segmentation; raise MAX_ROUNDS (or switch to "
             "large-star/small-star for log-bounded rounds)", max_rounds)
     return labels
 
@@ -180,13 +184,13 @@ _CLUSTER_SCHEMA = pa.schema([("doc_id", pa.int64()),
                              ("cluster_size", pa.int64())])
 
 
-def cluster_labels(edges: rd.Dataset, *, max_rounds: int = 50,
-                   small_threshold: int = SMALL_EDGES,
-                   as_dataset: bool = False):
+# as_dataset: False in ann.dedup_cosine_clusters, True in geocluster DBSCAN
+def cluster_labels(edges: rd.Dataset, *, as_dataset: bool = False):
     """Edges ``(doc_a, doc_b)`` -> ``(doc_id, cluster_id, cluster_size)``
     sorted by ``doc_id`` (as pandas), where ``cluster_id`` is the
     component's minimum doc_id.  Hybrid local/distributed closure (module
-    docstring); ``small_threshold=0`` forces the distributed path.
+    docstring); a test that patches ``SMALL_EDGES`` to 0 forces the
+    distributed path.
 
     ``as_dataset=True`` returns an (unsorted) Ray Dataset instead —
     downstream consumers (``dedup_apply``'s anti-join) keep the labels
@@ -199,14 +203,14 @@ def cluster_labels(edges: rd.Dataset, *, max_rounds: int = 50,
     if n_edges == 0:
         return rd.from_arrow(_CLUSTER_SCHEMA.empty_table()) \
             if as_dataset else empty
-    if n_edges <= small_threshold:
+    if n_edges <= SMALL_EDGES:
         df = edges.to_pandas()
         out = _local_components(
             df["doc_a"].to_numpy(np.int64),
             df["doc_b"].to_numpy(np.int64)) \
             .sort_values("doc_id").reset_index(drop=True)
         return rd.from_pandas(out) if as_dataset else out
-    labels = _distributed_components(edges, n_edges, max_rounds)
+    labels = _distributed_components(edges, n_edges, MAX_ROUNDS)
 
     # per-cluster size: bucket the (node, label) rows by label hash — every
     # row of a label lands in one bucket, so the in-bucket count is final
@@ -241,8 +245,6 @@ def cluster_labels(edges: rd.Dataset, *, max_rounds: int = 50,
 
 PR_DAMPING = 0.85
 PR_ITERS = 10
-
-_PR_SCHEMA = pa.schema([("node", pa.int64()), ("pagerank", pa.float64())])
 
 
 def _pr_local(src: np.ndarray, dst: np.ndarray, damping: float,
@@ -336,40 +338,33 @@ def _pr_distributed(edges: rd.Dataset, n_edges: int, damping: float,
         batch_format="pyarrow")
 
 
-def pagerank(edges: rd.Dataset, *, damping: float = PR_DAMPING,
-             iters: int = PR_ITERS,
-             small_threshold: int = SMALL_EDGES,
-             as_dataset: bool = False):
-    """Fixed-``iters`` PageRank (Page et al., 1999 power method) over a
+def pagerank(edges: rd.Dataset) -> pd.DataFrame:
+    """Fixed-``PR_ITERS`` PageRank (Page et al., 1999 power method) over a
     ``(src, dst)`` edge Dataset: ``r'(v) = (1-d)/N + d * sum r(u)/out(u)``
-    over in-edges.  A FIXED iteration count makes the operator a pure
-    deterministic function of the edge set — SQL-expressible as a
-    materialized CTE chain, the ``geo_clusters`` closure pattern — rather
-    than a tolerance-terminated fixpoint.  Dangling mass is dropped, not
-    redistributed (the k-NN graphs this serves have out-degree k
-    everywhere).
+    over in-edges, d = PR_DAMPING.  A FIXED iteration count makes the
+    operator a pure deterministic function of the edge set —
+    SQL-expressible as a materialized CTE chain, the ``geo_clusters``
+    closure pattern — rather than a tolerance-terminated fixpoint.
+    Dangling mass is dropped, not redistributed (the k-NN graphs this
+    serves have out-degree k everywhere).
 
     Hybrid shape, same thresholds as ``cluster_labels``: a bounded edge
     set runs one vectorized numpy power loop on the driver; above
-    ``small_threshold`` every iteration is one hash join (edges x ranks
+    ``SMALL_EDGES`` every iteration is one hash join (edges x ranks
     on src — 24-byte rows) plus one bounded bucket-sum, edges re-joined
     from their materialized blocks.  Per-node in-sums are float, so the
     two paths (and the SQL oracle) agree to reduction order — compare
     after 6-dp rounding."""
-    empty = pd.DataFrame({"node": pd.Series(dtype=np.int64),
-                          "pagerank": pd.Series(dtype=np.float64)})
+    damping, iters = PR_DAMPING, PR_ITERS
     edges = edges.materialize()
     n_edges = edges.count()
     if n_edges == 0:
-        return rd.from_arrow(_PR_SCHEMA.empty_table()) \
-            if as_dataset else empty
-    if n_edges <= small_threshold:
+        return pd.DataFrame({"node": pd.Series(dtype=np.int64),
+                             "pagerank": pd.Series(dtype=np.float64)})
+    if n_edges <= SMALL_EDGES:
         df = edges.to_pandas()
-        out = _pr_local(df["src"].to_numpy(np.int64),
-                        df["dst"].to_numpy(np.int64), damping, iters) \
+        return _pr_local(df["src"].to_numpy(np.int64),
+                         df["dst"].to_numpy(np.int64), damping, iters) \
             .sort_values("node").reset_index(drop=True)
-        return rd.from_pandas(out) if as_dataset else out
     ranks = _pr_distributed(edges, n_edges, damping, iters)
-    if as_dataset:
-        return ranks
     return ranks.to_pandas().sort_values("node").reset_index(drop=True)

@@ -14,9 +14,9 @@ and featurizing them:
   deterministic fake (pure arithmetic on the entity id) so the pipeline is
   end-to-end runnable AND SQL-verifiable.
 
-Batch-size note: real image payloads are large — run the decode stage with
-a small ``batch_size`` and an actor pool holding the codec state; with the
-fake decoder a fused task stage suffices.
+Every stage is a fused task stage: the fake codecs hold no state, so no
+stage picks its own pool size or batch size.  A real decoder would move
+its codec state into an actor pool.
 """
 
 from __future__ import annotations
@@ -81,59 +81,52 @@ def media_features(data_dir: str) -> rd.Dataset:
 
 
 # ---------------------------------------------------------------------------
-# resize + frame-sample stages (actor-pool plumbing; fake codecs)
+# resize + frame-sample stages (fake codecs)
 # ---------------------------------------------------------------------------
 
-class MediaResize:
-    """ACTOR-POOL stage: fit each image inside ``max_w`` × ``max_h``
-    preserving aspect ratio (integer floor), never upscaling.
-
-    Real contract demonstrated: codec/target state lives in ``__init__``
-    (once per actor), ``__call__`` handles one batch.  The pixel work is
-    the deterministic fake (dims from ``fake_image_meta``); with a real
-    imaging lib only the body of the resize arithmetic changes.  Run as
-    ``map_batches(MediaResize, fn_constructor_kwargs=..., concurrency=N,
-    batch_size=small)`` for large payloads."""
-
-    def __init__(self, max_w: int = 256, max_h: int = 256):
-        self.max_w = int(max_w)
-        self.max_h = int(max_h)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        sub = df[df["media_img"].notna()]
-        w, h, _, _ = fake_image_meta(sub["osm_id"].to_numpy())
-        # scale = min(max_w/w, max_h/h, 1) as exact integer arithmetic:
-        # out_w = floor(w * s) via integer mul/div (SQL-expressible)
-        num_w, num_h = self.max_w, self.max_h
-        use_w = num_w * h <= num_h * w            # width is binding side
-        out_w = np.where(use_w, np.minimum(num_w, w), w * num_h // h)
-        out_h = np.where(use_w, h * num_w // w, np.minimum(num_h, h))
-        no_up = (w <= num_w) & (h <= num_h)
-        out_w = np.where(no_up, w, out_w).astype(np.int64)
-        out_h = np.where(no_up, h, out_h).astype(np.int64)
-        return pa.table({
-            "doc_id": pa.array(sub["doc_id"].to_numpy(dtype=object),
-                               type=pa.string()),
-            "width": pa.array(w, type=pa.int64()),
-            "height": pa.array(h, type=pa.int64()),
-            "out_w": pa.array(out_w, type=pa.int64()),
-            "out_h": pa.array(out_h, type=pa.int64()),
-            "out_bytes": pa.array(out_w * out_h * 3, type=pa.int64()),
-        })
+#: thumbnail box of ``media_resize``
+MAX_W = 256
+MAX_H = 256
+#: frame step of ``media_frame_sample``, in seconds
+FRAME_EVERY_S = 5
 
 
-def media_resize(data_dir: str, max_w: int = 256, max_h: int = 256,
-                 concurrency: int = 2, batch_size: int = 4096) -> rd.Dataset:
-    """Attached images → aspect-preserving thumbnail dims (actor pool)."""
-    ds = decoded(data_dir)
-    return ds.map_batches(MediaResize, batch_format="pyarrow",
-                          fn_constructor_kwargs={"max_w": max_w,
-                                                 "max_h": max_h},
-                          concurrency=concurrency, batch_size=batch_size)
+def resize_batch(batch: pa.Table, max_w: int, max_h: int) -> pa.Table:
+    """Fit each image inside ``max_w`` × ``max_h`` preserving aspect
+    ratio (integer floor), never upscaling.  The pixel work is the
+    deterministic fake (dims from ``fake_image_meta``); with a real
+    imaging lib only the body of the resize arithmetic changes."""
+    df = batch.to_pandas()
+    sub = df[df["media_img"].notna()]
+    w, h, _, _ = fake_image_meta(sub["osm_id"].to_numpy())
+    # scale = min(max_w/w, max_h/h, 1) as exact integer arithmetic:
+    # out_w = floor(w * s) via integer mul/div (SQL-expressible)
+    use_w = max_w * h <= max_h * w            # width is binding side
+    out_w = np.where(use_w, np.minimum(max_w, w), w * max_h // h)
+    out_h = np.where(use_w, h * max_w // w, np.minimum(max_h, h))
+    no_up = (w <= max_w) & (h <= max_h)
+    out_w = np.where(no_up, w, out_w).astype(np.int64)
+    out_h = np.where(no_up, h, out_h).astype(np.int64)
+    return pa.table({
+        "doc_id": pa.array(sub["doc_id"].to_numpy(dtype=object),
+                           type=pa.string()),
+        "width": pa.array(w, type=pa.int64()),
+        "height": pa.array(h, type=pa.int64()),
+        "out_w": pa.array(out_w, type=pa.int64()),
+        "out_h": pa.array(out_h, type=pa.int64()),
+        "out_bytes": pa.array(out_w * out_h * 3, type=pa.int64()),
+    })
 
 
-def frame_sample_batch(batch: pa.Table, every_s: int = 5) -> pa.Table:
+def media_resize(data_dir: str) -> rd.Dataset:
+    """Attached images → aspect-preserving thumbnail dims inside
+    ``MAX_W`` × ``MAX_H``."""
+    return decoded(data_dir).map_batches(
+        resize_batch, batch_format="pyarrow",
+        fn_kwargs={"max_w": MAX_W, "max_h": MAX_H})
+
+
+def frame_sample_batch(batch: pa.Table, every_s: int) -> pa.Table:
     """Video frame sampling plumbing: each media item gets a deterministic
     fake duration (id arithmetic), and one output row per sampled frame at
     ``every_s``-second steps (frame 0 always included) — the EXPLODED
@@ -156,10 +149,10 @@ def frame_sample_batch(batch: pa.Table, every_s: int = 5) -> pa.Table:
     })
 
 
-def media_frame_sample(data_dir: str, every_s: int = 5) -> rd.Dataset:
+def media_frame_sample(data_dir: str) -> rd.Dataset:
     ds = decoded(data_dir)
     return ds.map_batches(frame_sample_batch, batch_format="pyarrow",
-                          fn_kwargs={"every_s": every_s})
+                          fn_kwargs={"every_s": FRAME_EVERY_S})
 
 
 def media_dedup(data_dir: str) -> rd.Dataset:
@@ -172,9 +165,6 @@ def media_dedup(data_dir: str) -> rd.Dataset:
     Shape: (phash, doc_id) rows only — bytes never shuffle — reduced
     through bounded phash-hash buckets (the widths.REDUCE_BUCKETS
     rule); keeper = lexicographic min doc_id per hash."""
-    import numpy as np
-    import pandas as pd
-
     def keys(batch: pa.Table) -> pa.Table:
         t = media_feature_batch(batch)
         ph = t["phash"].to_numpy(zero_copy_only=False)

@@ -566,7 +566,8 @@ WHERE media_img IS NOT NULL ORDER BY doc_id"""
 
 
 def media_resize_sql(d: str, max_w: int = 256, max_h: int = 256) -> str:
-    """Aspect-preserving fit (integer arithmetic mirrors MediaResize)."""
+    """Aspect-preserving fit (integer arithmetic mirrors
+    ``media.resize_batch``)."""
     return f"""
 WITH m AS (
   SELECT doc_id,

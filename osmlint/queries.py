@@ -35,15 +35,10 @@ import ray.data as rd
 from ray.data.aggregate import Sum
 
 from . import (ann, dupnames, eventops, fixes, geo, geocluster, geostats,
-               media, oracle_sql, pipeline, raster, rules, synth, textops)
+               graph, media, oracle_sql, pipeline, raster, rules, synth,
+               textops)
 
 CELL_RES = pipeline.CELL_RES
-KNN_RADIUS_KM = dupnames.DEFAULT_RADIUS_KM
-
-ANN_K = 5
-ANN_NQ = 4
-COS_TAU = 0.5    # max pairwise cosine in the synthetic embeddings is ~0.51
-                 # — 0.5 yields a small non-trivial matched set at sf0.01
 
 
 def _on_synth(*ops):
@@ -330,10 +325,9 @@ def ray_queries() -> dict:
         "events_heavy_users": eventops.heavy_users,
         "diversity_sample": ann.diversity_sample,
         "dedup_apply_quality": textops.dedup_apply_quality,
-        # the exact fallback keeps the exact-quantile oracle true even if a
-        # block ever exceeds the sketch cap
-        "quality_quantiles_sketch": partial(textops.quality_quantiles_sketch,
-                                            exact_fallback=True),
+        # the exact fallback (textops.SKETCH_EXACT_FALLBACK) keeps the
+        # exact-quantile oracle true even if a block exceeds the sketch cap
+        "quality_quantiles_sketch": textops.quality_quantiles_sketch,
         "lint_flags": _on_synth(pipeline.flags_dataset),
         "pip_tile_join": pip_tile_join,
         "lint_summary_per_map": _on_synth(pipeline.flags_dataset,
@@ -388,14 +382,12 @@ def ray_queries() -> dict:
         "fix_plan": _on_synth(fixes.fix_plan_dataset),
         "raster_sample": _on_synth(raster.sample),
         "raster_zonal_stats": _on_synth(raster.zonal_stats),
-        "embedding_cosine_pairs_lsh": partial(ann.cosine_pairs_lsh,
-                                              tau=COS_TAU),
+        "embedding_cosine_pairs_lsh": ann.cosine_pairs_lsh,
         # approximate scale path of the O(N^2)-guarded exact knn_graph:
         # rows-only, recall gate in pytest, the fullprobe sibling is its
         # hard oracle (nprobe == n_lists equals the exact graph)
-        "knn_graph_ivf": partial(ann.knn_graph_ivf, k=ANN_K),
-        "knn_graph_ivf_fullprobe": partial(ann.knn_graph_ivf_fullprobe,
-                                           k=ANN_K),
+        "knn_graph_ivf": ann.knn_graph_ivf,
+        "knn_graph_ivf_fullprobe": ann.knn_graph_ivf_fullprobe,
         # one Lloyd step is SQL-expressible: the hard oracle for the
         # k-means machinery while the iterative embedding_kmeans is rows-only
         "embedding_kmeans_1iter": ann.embedding_kmeans_1iter,
@@ -409,8 +401,7 @@ def ray_queries() -> dict:
         # certificate-gated with a counted exact fallback: equals the exact
         # top-k whenever it answers, so it keeps vocab_topk's oracle
         "vocab_topk_mg": textops.vocab_topk_mg,
-        "dedup_cosine_clusters": partial(ann.dedup_cosine_clusters,
-                                         tau=COS_TAU),
+        "dedup_cosine_clusters": ann.dedup_cosine_clusters,
         "embedding_project": ann.embedding_project,
         "events_daily_trend": eventops.daily_trend,
         "bm25_topk": textops.bm25_topk,
@@ -428,17 +419,15 @@ def ray_queries() -> dict:
         "corpus_split_leakfree": textops.corpus_split_leakfree,
         "knn_dup_names": _on_synth(dupnames.dup_name_pairs),
         "nearest_tile": nearest_tile,
-        "ann_topk": partial(ann.topk_neighbors, k=ANN_K, n_queries=ANN_NQ),
+        "ann_topk": ann.topk_neighbors,
         # rows-only: nprobe truncation is approximate (recall gate in pytest)
-        "ann_topk_ivf": partial(ann.topk_neighbors_ivf, k=ANN_K,
-                                n_queries=ANN_NQ),
+        "ann_topk_ivf": ann.topk_neighbors_ivf,
         # probing all lists reproduces the exact top-k bit for bit, so the
         # IVF routing, per-list matmul and rank reduction get a hard oracle
-        "ann_topk_ivf_fullprobe": partial(ann.topk_neighbors_ivf, k=ANN_K,
-                                          n_queries=ANN_NQ,
+        "ann_topk_ivf_fullprobe": partial(ann.topk_neighbors_ivf,
                                           nprobe=ann.IVF_K),
-        "embedding_cosine_pairs": partial(ann.cosine_pairs, tau=COS_TAU),
-        "knn_graph": partial(ann.knn_graph, k=ANN_K),
+        "embedding_cosine_pairs": ann.cosine_pairs,
+        "knn_graph": ann.knn_graph,
         "embedding_kmeans": ann.embedding_kmeans,
         "embedding_centroids": ann.embedding_centroids,
         "dedup_exact": textops.dedup_exact,
@@ -503,7 +492,7 @@ def oracle_queries(sf_dir: str = "/root/testdata/sf0.01") -> dict[str, str]:
         "cell_density_smooth":
             oracle_sql.cell_density_smooth_sql(d, CELL_RES),
         "knn_dup_names": oracle_sql.knn_dup_names_sql(
-            d, KNN_RADIUS_KM, dupnames.MAX_NAME_FREQ),
+            d, dupnames.DEFAULT_RADIUS_KM, dupnames.MAX_NAME_FREQ),
         "nearest_tile": oracle_sql.nearest_tile_sql(d),
         "text_stats": oracle_sql.TEXT_STATS_SQL,
         "lang_id": oracle_sql.lang_id_sql(),
@@ -532,18 +521,20 @@ def oracle_queries(sf_dir: str = "/root/testdata/sf0.01") -> dict[str, str]:
         "distinct_token_counts": oracle_sql.DISTINCT_TOKEN_COUNTS_SQL,
         # exact recall by construction (inverted-index candidates) — SQL
         # computes the same word-3-gram Jaccard
-        "dedup_ngram_jaccard": oracle_sql.ngram_jaccard_sql(0.3),
+        "dedup_ngram_jaccard": oracle_sql.ngram_jaccard_sql(
+            textops.NGRAM_TAU),
         # soundness oracle: every reported pair carries the EXACT Jaccard,
         # so the exact SQL at the same tau is the full expected set (LSH
         # recall at the driver scale is exact — gate-tested in-repo)
-        "dedup_minhash": oracle_sql.ngram_jaccard_sql(0.5),
+        "dedup_minhash": oracle_sql.ngram_jaccard_sql(textops.MINHASH_TAU),
         # independent-reference oracles (sound by construction)
         "simhash_docs": oracle_sql.simhash_docs_sql(d, sf_dir),
         "dedup_simhash": oracle_sql.dedup_simhash_sql(
             d, sf_dir, textops.SIMHASH_MAX_HAMMING),
         # transitive closure of the (oracle-equal) minhash pair set —
         # recursive CTE vs distributed min-label propagation
-        "dedup_clusters": oracle_sql.dedup_clusters_sql(0.5),
+        "dedup_clusters": oracle_sql.dedup_clusters_sql(
+            textops.MINHASH_TAU),
         "vocab_topk": oracle_sql.vocab_topk_sql(textops.VOCAB_K),
         # certificate-gated exact top-k (falls back to the exact path on
         # certificate failure) — same hard oracle
@@ -571,7 +562,7 @@ def oracle_queries(sf_dir: str = "/root/testdata/sf0.01") -> dict[str, str]:
             textops.PACK_RANGE),
         "corpus_mix": oracle_sql.corpus_mix_sql(
             textops.MIX_WEIGHTS, textops.MIX_DEFAULT_WEIGHT),
-        "dedup_apply": oracle_sql.dedup_apply_sql(0.5),
+        "dedup_apply": oracle_sql.dedup_apply_sql(textops.MINHASH_TAU),
         "top_quality_docs": oracle_sql.top_quality_docs_sql(
             textops.TOP_QUALITY_N),
         "tfidf_keywords": oracle_sql.tfidf_keywords_sql(
@@ -585,13 +576,14 @@ def oracle_queries(sf_dir: str = "/root/testdata/sf0.01") -> dict[str, str]:
         "corpus_stats": oracle_sql.CORPUS_STATS_SQL,
         "embedding_quantize": oracle_sql.EMBEDDING_QUANTIZE_SQL,
         "embedding_centroids": oracle_sql.EMBEDDING_CENTROIDS_SQL,
-        "knn_graph": oracle_sql.knn_graph_sql(ANN_K),
+        "knn_graph": oracle_sql.knn_graph_sql(ann.K_NEIGHBORS),
         # full-probe IVF graph == exact graph by construction (every
         # candidate scored exactly once); hard oracle for the IVF
         # routing/replication/per-list/meta-bucket-reduce machinery.
         # knn_graph_ivf itself stays rows-only (nprobe truncation is a
         # real approximation; recall gate in pytest).
-        "knn_graph_ivf_fullprobe": oracle_sql.knn_graph_sql(ANN_K),
+        "knn_graph_ivf_fullprobe": oracle_sql.knn_graph_sql(
+            ann.K_NEIGHBORS),
         # one Lloyd step IS SQL-expressible — hard oracle for the k-means
         # assign/reduce kernels; the iterative fixpoint stays rows-only.
         "embedding_kmeans_1iter": oracle_sql.kmeans_1iter_sql(
@@ -600,24 +592,27 @@ def oracle_queries(sf_dir: str = "/root/testdata/sf0.01") -> dict[str, str]:
             d, geocluster.EPS_KM, geocluster.MIN_PTS),
         "geo_cluster_stats": oracle_sql.geo_cluster_stats_sql(
             d, geocluster.EPS_KM, geocluster.MIN_PTS),
-        "ann_topk": oracle_sql.ann_topk_sql(ANN_K, ANN_NQ),
+        "ann_topk": oracle_sql.ann_topk_sql(ann.K_NEIGHBORS, ann.N_QUERIES),
         # full-probe IVF == exact top-k by construction: every list is
         # scanned, so the approximation is off and the index machinery
         # (routing, per-list matmul, rank reduction) gets a hard oracle
-        "ann_topk_ivf_fullprobe": oracle_sql.ann_topk_sql(ANN_K, ANN_NQ),
-        "embedding_cosine_pairs": oracle_sql.cosine_pairs_sql(COS_TAU),
+        "ann_topk_ivf_fullprobe": oracle_sql.ann_topk_sql(
+            ann.K_NEIGHBORS, ann.N_QUERIES),
+        "embedding_cosine_pairs": oracle_sql.cosine_pairs_sql(ann.COS_TAU),
         # LSH multiprobe recall verified == exact at gate scale (pytest
         # guards the subset property; equality checked empirically)
-        "embedding_cosine_pairs_lsh": oracle_sql.cosine_pairs_sql(COS_TAU),
+        "embedding_cosine_pairs_lsh": oracle_sql.cosine_pairs_sql(
+            ann.COS_TAU),
         "dedup_cosine_clusters":
-            oracle_sql.dedup_cosine_clusters_sql(COS_TAU),
+            oracle_sql.dedup_cosine_clusters_sql(ann.COS_TAU),
         "embedding_project": oracle_sql.embedding_project_sql(
             ann.jl_matrix()),
         "pq_encode": oracle_sql.pq_encode_sql(
             ann.PQ_M, ann.PQ_KSUB),
         "pq_topk_adc": oracle_sql.pq_topk_adc_sql(
-            5, 4, ann.PQ_M, ann.PQ_KSUB),
-        "knn_pagerank": oracle_sql.knn_pagerank_sql(5, 0.85, 10),
+            ann.K_NEIGHBORS, ann.N_QUERIES, ann.PQ_M, ann.PQ_KSUB),
+        "knn_pagerank": oracle_sql.knn_pagerank_sql(
+            ann.K_NEIGHBORS, graph.PR_DAMPING, graph.PR_ITERS),
         "source_embedding_norms": oracle_sql.SOURCE_EMBEDDING_NORMS_SQL,
         "events_window": oracle_sql.EVENTS_WINDOW_SQL,
         "events_sessionize": oracle_sql.EVENTS_SESSIONIZE_SQL,
@@ -633,8 +628,10 @@ def oracle_queries(sf_dir: str = "/root/testdata/sf0.01") -> dict[str, str]:
         "events_daily_trend": oracle_sql.events_daily_trend_sql(
             eventops.TREND_X0),
         "media_features": oracle_sql.media_features_sql(d),
-        "media_resize": oracle_sql.media_resize_sql(d),
-        "media_frame_sample": oracle_sql.media_frame_sample_sql(d),
+        "media_resize": oracle_sql.media_resize_sql(d, media.MAX_W,
+                                                    media.MAX_H),
+        "media_frame_sample": oracle_sql.media_frame_sample_sql(
+            d, media.FRAME_EVERY_S),
         "media_dedup": oracle_sql.media_dedup_sql(d),
         "fix_plan": oracle_sql.fix_plan_sql(d),
         "raster_sample": oracle_sql.raster_sample_sql(d, CELL_RES),
@@ -652,7 +649,8 @@ def oracle_queries(sf_dir: str = "/root/testdata/sf0.01") -> dict[str, str]:
         "geo_ripley_k": oracle_sql.ripley_k_sql(
             d, geocluster.EPS_KM, geocluster.RIPLEY_BINS),
         "corpus_split_leakfree": oracle_sql.corpus_split_leakfree_sql(
-            0.5, textops._SPLIT_TRAIN_HEX, textops._SPLIT_VAL_HEX),
+            textops.MINHASH_TAU, textops._SPLIT_TRAIN_HEX,
+            textops._SPLIT_VAL_HEX),
         "events_props_extract": oracle_sql.props_extract_sql(),
         "geo_semivariogram": oracle_sql.semivariogram_sql(
             d, geocluster.EPS_KM, geocluster.VARIO_BINS),
@@ -664,7 +662,8 @@ def oracle_queries(sf_dir: str = "/root/testdata/sf0.01") -> dict[str, str]:
             geostats.LAT_STEP, geostats.LON_STEP),
         "diversity_sample": oracle_sql.diversity_sample_sql(
             ann.DIVERSITY_K),
-        "dedup_apply_quality": oracle_sql.dedup_apply_quality_sql(0.5),
+        "dedup_apply_quality": oracle_sql.dedup_apply_quality_sql(
+            textops.MINHASH_TAU),
         "geo_bearing_rose": oracle_sql.bearing_rose_sql(d),
         "geo_pip_gaps": oracle_sql.pip_gaps_sql(d, CELL_RES),
         "geo_hilbert_index": oracle_sql.hilbert_index_sql(d, CELL_RES),

@@ -115,21 +115,20 @@ def _band(data_dir: str, res: int) -> pd.DataFrame:
     return band.sort_values("cell_id").reset_index(drop=True)
 
 
-def polygonize(data_dir: str, *, res: int = POLY_RES,
-               k: int = POLY_K) -> pd.DataFrame:
+def polygonize(data_dir: str) -> pd.DataFrame:
     """Raster → vector regions: 4-connected components of the
     above-threshold density cells (GDAL-style polygonize over the
     thresholded band), one row per hotspot region.
 
     The threshold is exact-integer — ``density * n_occupied_cells >=
-    k * total_docs`` (i.e. density >= k x the mean over occupied
+    POLY_K * total_docs`` (i.e. density >= POLY_K x the mean over occupied
     cells) — so it transfers across scales and the SQL oracle compares
     the same two BIGINTs.  The band itself is bounded by the FIXED grid
     (4^res cells; ~1-3k occupied over the Serbia extent at res 11), so
     the component closure runs as one vectorized local kernel
     (``graph._local_components``: min-label + pointer jump, O(log n)
     rounds) on the already-reduced band — the corpus-sized stream only
-    ever feeds the cached ``band_at`` partials.  Raise ``res`` past
+    ever feeds the cached ``band_at`` partials.  Raise ``POLY_RES`` past
     ~12 (16M cells) and the same edge table drops into
     ``graph.cluster_labels``'s distributed path unchanged.
 
@@ -137,6 +136,7 @@ def polygonize(data_dir: str, *, res: int = POLY_RES,
     ``n_cells``, ``total_density`` and the inclusive cell-coordinate
     bbox — all exact integers."""
     from . import graph
+    res, k = POLY_RES, POLY_K
     n_side = 1 << res
     band = band_at(data_dir, res)
     dens = band["density"].to_numpy(np.int64)

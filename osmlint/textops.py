@@ -302,6 +302,11 @@ _PERM_B = _rng.integers(0, (1 << 61) - 1, N_PERM, dtype=np.uint64)
 _SIMHASH_BITS = 64
 
 MAX_POSTING = 1024      # hot-n-gram skew guard (skipped postings are logged)
+#: verified-Jaccard threshold of the MinHash pair miner and all that reads
+#: its pair set (dedup_clusters, the dedup appliers, corpus_split_leakfree)
+MINHASH_TAU = 0.5
+#: n-gram Jaccard threshold of the exact inverted-index pair miner
+NGRAM_TAU = 0.3
 
 _PAIR_SCHEMA = pa.schema([("doc_a", pa.int64()), ("doc_b", pa.int64())])
 _PAIRJ_SCHEMA = pa.schema([("doc_a", pa.int64()), ("doc_b", pa.int64()),
@@ -623,10 +628,8 @@ def _pairs_ckpt_key(sf_dir: str, *params) -> tuple:
     return (path, caches.path_fingerprint(path)) + params
 
 
-def _minhash_verified_ds(sf_dir: str, tau: float,
-                         cap: int = MAX_POSTING,
-                         metrics_key: str = "dedup_minhash"
-                         ) -> rd.Dataset | None:
+def _minhash_verified_ds(sf_dir: str,
+                         metrics_key: str) -> rd.Dataset | None:
     """Shared core of ``minhash_dup_pairs`` / ``dedup_clusters``: the
     verified (doc_a, doc_b, jaccard) pair Dataset, or None if no
     candidates survive banding.  Cap metrics land under ``metrics_key``
@@ -637,6 +640,7 @@ def _minhash_verified_ds(sf_dir: str, tau: float,
     (``dedup_clusters`` after ``dedup_minhash``) and any re-run over
     unchanged input read the pair set straight back, skip counters
     included."""
+    tau, cap = MINHASH_TAU, MAX_POSTING
     def build() -> rd.Dataset | None:
         bands = read_shingles(sf_dir, ["doc_id", "mh"]) \
             .map_batches(band_explode, batch_format="pyarrow")
@@ -660,13 +664,12 @@ def _minhash_verified_ds(sf_dir: str, tau: float,
                                      metrics_key=metrics_key)
 
 
-def minhash_dup_pairs(sf_dir: str, tau: float = 0.5,
-                      cap: int = MAX_POSTING) -> pd.DataFrame:
+def minhash_dup_pairs(sf_dir: str) -> pd.DataFrame:
     """MinHash+LSH near-duplicate pairs: shingle checkpoint (ONE corpus
     pass, shared) → band → bucket groupby (24-byte rows) → pair dedup →
     join-back exact-Jaccard verify.  Hot-bucket skips are counted in
     ``LAST_METRICS['dedup_minhash']``."""
-    ds = _minhash_verified_ds(sf_dir, tau, cap)
+    ds = _minhash_verified_ds(sf_dir, "dedup_minhash")
     if ds is None:
         return pd.DataFrame({"doc_a": pd.Series(dtype=np.int64),
                              "doc_b": pd.Series(dtype=np.int64),
@@ -679,8 +682,7 @@ def minhash_dup_pairs(sf_dir: str, tau: float = 0.5,
     return df.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
 
 
-def ngram_jaccard_pairs(sf_dir: str, tau: float = 0.3,
-                        cap: int = MAX_POSTING) -> pd.DataFrame:
+def ngram_jaccard_pairs(sf_dir: str) -> pd.DataFrame:
     """Exact n-gram Jaccard pairs via a shared-n-gram inverted index:
     checkpointed shingle sets (ONE corpus pass, shared) → (ngram_hash,
     doc_id) postings → per-posting candidate pairs → dedup → join-back
@@ -688,6 +690,7 @@ def ngram_jaccard_pairs(sf_dir: str, tau: float = 0.3,
     least one n-gram) up to the hot-posting cap — skips are counted in
     ``LAST_METRICS['dedup_ngram_jaccard']`` — unlike ``minhash_dup_pairs``
     whose recall is band-limited."""
+    tau, cap = NGRAM_TAU, MAX_POSTING
     _CSZ_SCHEMA = pa.schema([
         ("doc_a", pa.int64()), ("doc_b", pa.int64()),
         ("sz_a", pa.int64()), ("sz_b", pa.int64())])
@@ -801,10 +804,9 @@ _SIMPAIR_SCHEMA = pa.schema([("doc_a", pa.int64()), ("doc_b", pa.int64()),
                              ("hamming", pa.int64())])
 
 
-def simhash_dup_pairs(sf_dir: str,
-                      max_hamming: int = SIMHASH_MAX_HAMMING,
-                      cap: int = MAX_POSTING) -> pd.DataFrame:
-    """SimHash near-dup pairs: every pair within ``max_hamming`` bits.
+def simhash_dup_pairs(sf_dir: str) -> pd.DataFrame:
+    """SimHash near-dup pairs: every pair within ``SIMHASH_MAX_HAMMING``
+    bits.
 
     Classic block-key bucketing (Manku et al., WWW'07 shape): the 64-bit
     simhash splits into ``max_hamming + 1`` blocks — a pair differing in
@@ -813,6 +815,7 @@ def simhash_dup_pairs(sf_dir: str,
     pairs with zero recall loss.  Shuffle rows are (block, key, doc_id,
     simhash) — 32 bytes; the in-bucket verify is one vectorized XOR+popcount.
     Exact by construction up to the hot-bucket cap (logged)."""
+    max_hamming, cap = SIMHASH_MAX_HAMMING, MAX_POSTING
     n_blocks = max_hamming + 1
     width = 64 // n_blocks
 
@@ -901,11 +904,17 @@ def simhash_dup_pairs(sf_dir: str,
 # corpus curation: quality filter + per-(lang, source) rollup
 # ---------------------------------------------------------------------------
 
-def corpus_filter(sf_dir: str, min_quality: float = 0.5,
-                  lang: str = "en") -> rd.Dataset:
-    """Training-corpus quality gate: keep docs with quality >= threshold in
-    the target language; emit (doc_id, n_tokens, quality).  One stateless
-    vectorized pass — the canonical pre-training filter stage."""
+#: ``corpus_filter`` gate: quality floor and target language
+FILTER_MIN_QUALITY = 0.5
+FILTER_LANG = "en"
+
+
+def corpus_filter(sf_dir: str) -> rd.Dataset:
+    """Training-corpus quality gate: keep docs with quality >=
+    ``FILTER_MIN_QUALITY`` in ``FILTER_LANG``; emit (doc_id, n_tokens,
+    quality).  One stateless vectorized pass — the canonical pre-training
+    filter stage."""
+    min_quality, lang = FILTER_MIN_QUALITY, FILTER_LANG
     def keep(batch: pa.Table) -> pa.Table:
         stats = stats_batch(batch)
         q = stats["quality"].to_numpy(zero_copy_only=False)
@@ -954,8 +963,8 @@ def corpus_stats(sf_dir: str) -> pd.DataFrame:
 # near-duplicate CLUSTERS: pairs -> transitive closure -> canonical labels
 # ---------------------------------------------------------------------------
 
-def dedup_clusters(sf_dir: str, tau: float = 0.5,
-                   as_dataset: bool = False):
+# as_dataset: False for the dedup_clusters entry, True in dedup_apply
+def dedup_clusters(sf_dir: str, as_dataset: bool = False):
     """Near-duplicate clusters: MinHash+LSH verified pairs -> distributed
     connected components (``graph.connected_components`` min-label
     propagation) -> ``(doc_id, cluster_id, cluster_size)`` where
@@ -967,7 +976,7 @@ def dedup_clusters(sf_dir: str, tau: float = 0.5,
     a DuckDB recursive CTE over the exact word-3-gram Jaccard pair SQL
     (the minhash pair set is oracle-equal to it at gate scale)."""
     from . import graph
-    pairs = _minhash_verified_ds(sf_dir, tau, metrics_key="dedup_clusters")
+    pairs = _minhash_verified_ds(sf_dir, "dedup_clusters")
     if pairs is None:
         empty = pd.DataFrame({"doc_id": pd.Series(dtype=np.int64),
                               "cluster_id": pd.Series(dtype=np.int64),
@@ -1014,13 +1023,12 @@ def _mg_rows(counts: pd.Series, d: int) -> pa.Table:
         "d": pa.array(np.append(np.zeros(len(tok), np.int64), [d]))})
 
 
-def vocab_topk_mg(sf_dir: str, k: int = VOCAB_K,
-                  counters: int = MG_COUNTERS) -> pd.DataFrame:
+def vocab_topk_mg(sf_dir: str) -> pd.DataFrame:
     """Top-k vocabulary via Misra-Gries heavy-hitter summaries with an
     EXACTNESS CERTIFICATE — the sketch scale path beside ``vocab_topk``.
 
     Shape (the 100 TB story): the exact path shuffles one row per
-    distinct token per block; this path ships only ``counters``-bounded
+    distinct token per block; this path ships only ``MG_COUNTERS``-bounded
     summaries.  Pass 1 folds each block into a <=4096-entry summary
     (token, cnt) plus an offset row carrying the compress decrement D
     (any token absent from a summary has true count <= its D).  A merge
@@ -1035,6 +1043,7 @@ def vocab_topk_mg(sf_dir: str, k: int = VOCAB_K,
     the certificate fails, fall back to the exact path and record it in
     ``LAST_METRICS['vocab_topk_mg']`` — never a silently approximate
     answer."""
+    k, counters = VOCAB_K, MG_COUNTERS
     ds = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
                          columns=["text"])
 
@@ -1104,18 +1113,19 @@ def vocab_topk_mg(sf_dir: str, k: int = VOCAB_K,
     if not certified:
         # no silent approximation: the certificate failed (a flat token
         # distribution for this counter budget) — run the exact path
-        return vocab_topk(sf_dir, k)
+        return vocab_topk(sf_dir)
     exact["n"] = exact["n"].astype(np.int64)
     return exact[["token", "n"]]
 
 
-def vocab_topk(sf_dir: str, k: int = VOCAB_K) -> pd.DataFrame:
+def vocab_topk(sf_dir: str) -> pd.DataFrame:
     """Top-k corpus vocabulary: lowercase whitespace tokens -> per-batch
     ``value_counts`` partials (pre-aggregated inside ``map_batches``, so
     the shuffle moves one row per DISTINCT token per block, not one per
     occurrence) -> distributed ``groupby(token).sum`` -> distributed
     sort on (n desc, token asc) -> ``limit(k)``.  Ties at the k boundary
     are broken by the token sort key, so the result is deterministic."""
+    k = VOCAB_K
     ds = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
                          columns=["text"])
 
@@ -1163,13 +1173,10 @@ WINNOW_W = 4                 # winnowing window (k-gram positions)
 _WINNOW_B = np.uint64(131)   # polynomial base; 255 * 131^7 * 8 < 2^63, so
                              # the SQL oracle's BIGINT sum can't overflow
 _WINNOW_M = np.uint64(0xFFFFFFFF)          # hash modulus 2^32 (mask)
-_WINNOW_POWS = (np.uint64(131) **
-                np.arange(WINNOW_K - 1, -1, -1).astype(np.uint64))
 _KEY_SHIFT = np.uint64(1 << 30)            # pos tie-break packed below hash
 
 
-def winnow_batch(batch: pa.Table, k: int = WINNOW_K,
-                 w: int = WINNOW_W) -> pa.Table:
+def winnow_batch(batch: pa.Table, k: int, w: int) -> pa.Table:
     """Winnowing document fingerprints (Schleimer/Wilkerson/Aiken, MOSS):
     rolling polynomial hash over character k-grams (code points & 255,
     base 131, mod 2^32), then every window of ``w`` consecutive k-gram
@@ -1186,6 +1193,7 @@ def winnow_batch(batch: pa.Table, k: int = WINNOW_K,
     shorter than k chars yield no fingerprints; docs with fewer than
     ``w`` k-grams use one whole-sequence window."""
     from numpy.lib.stride_tricks import sliding_window_view
+    pows = _WINNOW_B ** np.arange(k - 1, -1, -1).astype(np.uint64)
     df = batch.to_pandas()
     out_d, out_p, out_h = [], [], []
     for did, tx in zip(df["doc_id"].to_numpy(np.int64),
@@ -1200,7 +1208,7 @@ def winnow_batch(batch: pa.Table, k: int = WINNOW_K,
                              "the packed tie-break key would collide")
         h = np.zeros(m, dtype=np.uint64)
         for j in range(k):
-            h += _WINNOW_POWS[j] * cp[j:j + m]
+            h += pows[j] * cp[j:j + m]
         h &= _WINNOW_M
         key = h * _KEY_SHIFT + (_KEY_SHIFT - np.uint64(1)
                                 - np.arange(m, dtype=np.uint64))
@@ -1233,7 +1241,8 @@ def winnow_fingerprints(sf_dir: str) -> rd.Dataset:
     return rd.read_parquet(
         path, columns=["doc_id", "text"],
         override_num_blocks=widths.byte_blocks(path),
-    ).map_batches(winnow_batch, batch_format="pyarrow")
+    ).map_batches(winnow_batch, batch_format="pyarrow",
+                  fn_kwargs={"k": WINNOW_K, "w": WINNOW_W})
 
 
 # ---------------------------------------------------------------------------
@@ -1246,7 +1255,7 @@ def winnow_fingerprints(sf_dir: str) -> rd.Dataset:
 LOGPROB_VOCAB = 1 << 16
 
 
-def unigram_logprob(sf_dir: str, v: int = LOGPROB_VOCAB) -> rd.Dataset:
+def unigram_logprob(sf_dir: str) -> rd.Dataset:
     """Per-doc average negative log-likelihood under the corpus's own
     unigram distribution — the classic cheap "perplexity" quality signal
     (high avg_nll = rare-token soup, low = common-token text).
@@ -1255,14 +1264,16 @@ def unigram_logprob(sf_dir: str, v: int = LOGPROB_VOCAB) -> rd.Dataset:
     1. model build: per-batch token-count partials -> distributed
        ``groupby(token).sum`` (the shuffle moves one row per DISTINCT
        token per block); the exact total N is a distributed ``sum`` over
-       the FULL count table, then per-block top-``v`` pruning + sort
-       bounds the driver pull to the model vocabulary (<= ``v`` rows,
+       the FULL count table, then per-block top-``LOGPROB_VOCAB`` pruning
+       + sort bounds the driver pull to the model vocabulary (<= that many
+       rows,
        deterministic n-desc/token-asc tie-break).  ``ray.put`` once.
     2. scoring: vectorized map_batches — explode tokens, hash-map to
        counts (OOV -> count 1, the 1/N floor), ``nll = ln N - ln n``,
        segment-sum per doc.  avg_nll is rounded to 6 dp with the
        floor(x+0.5) convention on BOTH sides (absorbs summation-order
        ulps; numpy round is banker's, DuckDB's is half-away)."""
+    v = LOGPROB_VOCAB
     src = os.path.join(sf_dir, "documents.parquet")
 
     def split_uni(batch: pa.Table) -> pa.Table:
@@ -1413,9 +1424,8 @@ def _bloom_probe(h: np.ndarray, bits: np.ndarray) -> np.ndarray:
     return ok
 
 
-def decontaminate(sf_dir: str,
-                  eval_sources: tuple = EVAL_SOURCES,
-                  bloom_prefilter: bool = False) -> pd.DataFrame:
+# bloom_prefilter: False for decontaminate, True for decontaminate_bloom
+def decontaminate(sf_dir: str, bloom_prefilter: bool = False) -> pd.DataFrame:
     """Train/eval n-gram contamination report: for every eval-side doc
     sharing >=1 word-3-gram with ANY train-side doc, emit
     ``(doc_id, n_grams, n_contaminated, contamination)``.
@@ -1438,7 +1448,7 @@ def decontaminate(sf_dir: str,
     eliminated and the result is IDENTICAL to the exact path (same
     oracle).  The prefilter pass rate lands in
     ``LAST_METRICS['decontaminate_bloom']``."""
-    es = set(eval_sources)
+    es = set(EVAL_SOURCES)
     sh = read_shingles(sf_dir, ["doc_id", "sh", "source"])
 
     def postings(batch: pa.Table, keep_eval: bool) -> pa.Table:
@@ -1572,8 +1582,7 @@ def repetition_stats(sf_dir: str) -> rd.Dataset:
 TOKEN_QUANTILES = (0.0, 0.25, 0.5, 0.75, 0.9, 1.0)
 
 
-def token_quantiles(sf_dir: str,
-                    qs: tuple = TOKEN_QUANTILES) -> pd.DataFrame:
+def token_quantiles(sf_dir: str) -> pd.DataFrame:
     """EXACT per-language quantiles of the doc token count, computed
     distributedly without a global sort: per-batch (lang, n_tokens)
     histogram partials -> ``groupby.sum`` -> the driver walks the
@@ -1602,7 +1611,7 @@ def token_quantiles(sf_dir: str,
         cum = g["n"].cumsum().to_numpy(np.int64)
         total = int(cum[-1])
         vals = g["n_tokens"].to_numpy(np.int64)
-        for q in qs:
+        for q in TOKEN_QUANTILES:
             k = max(int(np.ceil(q * total)), 1)
             out.append((lang, float(q), int(vals[np.searchsorted(
                 cum, k, side="left")])))
@@ -1670,8 +1679,7 @@ def _rate_hex(rate: float) -> str:
     return format(int(rate * (1 << 32)), "08x")
 
 
-def corpus_sample(sf_dir: str, rates: dict = SAMPLE_RATES,
-                  default_rate: float = SAMPLE_DEFAULT_RATE) -> pd.DataFrame:
+def corpus_sample(sf_dir: str) -> pd.DataFrame:
     """Deterministic per-language stratified sample: keep a doc iff
     ``md5('s:' + doc_id)`` lands under its language's rate threshold.
     The ``'s:'`` prefix decorrelates the sample from ``corpus_split``
@@ -1680,8 +1688,8 @@ def corpus_sample(sf_dir: str, rates: dict = SAMPLE_RATES,
     docs, and upping a rate only ADDS docs (nested samples)."""
     ds = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
                          columns=["doc_id", "lang"])
-    thresholds = {k: _rate_hex(v) for k, v in rates.items()}
-    default_hex = _rate_hex(default_rate)
+    thresholds = {k: _rate_hex(v) for k, v in SAMPLE_RATES.items()}
+    default_hex = _rate_hex(SAMPLE_DEFAULT_RATE)
 
     def pick(batch: pa.Table) -> pa.Table:
         ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -1703,12 +1711,13 @@ def corpus_sample(sf_dir: str, rates: dict = SAMPLE_RATES,
 CHUNK_TOKENS = 64
 
 
-def doc_chunks(sf_dir: str, chunk_tokens: int = CHUNK_TOKENS) -> rd.Dataset:
-    """Split every doc into consecutive ``chunk_tokens``-token windows:
+def doc_chunks(sf_dir: str) -> rd.Dataset:
+    """Split every doc into consecutive ``CHUNK_TOKENS``-token windows:
     ``(doc_id, chunk_idx, n_tokens, chunk_text)``; zero-token docs emit
     no chunks, whitespace normalizes to single spaces (tokens are
     re-joined).  Stateless flat transform — output volume tracks token
     volume, rows never shuffle."""
+    chunk_tokens = CHUNK_TOKENS
     def chunk(batch: pa.Table) -> pa.Table:
         df = batch.to_pandas()
         out_id, out_idx, out_n, out_tx = [], [], [], []
@@ -1740,8 +1749,7 @@ def doc_chunks(sf_dir: str, chunk_tokens: int = CHUNK_TOKENS) -> rd.Dataset:
 DROP_BROADCAST_MAX = 1 << 24
 
 
-def dedup_apply(sf_dir: str, tau: float = 0.5,
-                broadcast_max: int = DROP_BROADCAST_MAX) -> pd.DataFrame:
+def dedup_apply(sf_dir: str) -> pd.DataFrame:
     """Materialize the dedup decision: every doc_id retained after
     near-duplicate clustering keeps only each cluster's canonical
     (minimum) member.
@@ -1750,7 +1758,7 @@ def dedup_apply(sf_dir: str, tau: float = 0.5,
     at scale — a heavy-dup corpus drops a large fraction of itself — so
     the apply has two paths:
 
-    * drop set <= ``broadcast_max``: one ``ray.put`` of the sorted id
+    * drop set <= ``DROP_BROADCAST_MAX``: one ``ray.put`` of the sorted id
       array, vectorized ``np.isin`` filter inside the streaming doc read
       (no shuffle at all);
     * larger: distributed LEFT OUTER join of the doc-id stream against
@@ -1760,7 +1768,7 @@ def dedup_apply(sf_dir: str, tau: float = 0.5,
       labels never visit the driver (``cluster_labels`` stays a
       Dataset)."""
     import pyarrow.compute as pc
-    clusters = dedup_clusters(sf_dir, tau, as_dataset=True)
+    clusters = dedup_clusters(sf_dir, as_dataset=True)
 
     def to_drop(batch: pa.Table) -> pa.Table:
         m = pc.not_equal(batch["doc_id"], batch["cluster_id"])
@@ -1771,11 +1779,10 @@ def dedup_apply(sf_dir: str, tau: float = 0.5,
 
     drop = clusters.map_batches(to_drop,
                                 batch_format="pyarrow").materialize()
-    return _apply_drop(sf_dir, drop, broadcast_max)
+    return _apply_drop(sf_dir, drop)
 
 
-def _apply_drop(sf_dir: str, drop: rd.Dataset,
-                broadcast_max: int) -> pd.DataFrame:
+def _apply_drop(sf_dir: str, drop: rd.Dataset) -> pd.DataFrame:
     """Shared retain-after-drop tail of the dedup appliers: broadcast
     ``np.isin`` filter when the drop set fits, distributed anti-join
     (8-byte keys + 1-byte marker) above — see ``dedup_apply``."""
@@ -1786,7 +1793,7 @@ def _apply_drop(sf_dir: str, drop: rd.Dataset,
 
     if n_drop == 0:
         df = ds.to_pandas()
-    elif n_drop <= broadcast_max:
+    elif n_drop <= DROP_BROADCAST_MAX:
         drop_ref = ray.put(np.sort(
             drop.to_pandas()["doc_id"].to_numpy(np.int64)))
 
@@ -1811,9 +1818,7 @@ def _apply_drop(sf_dir: str, drop: rd.Dataset,
     return df.sort_values("doc_id").reset_index(drop=True)
 
 
-def dedup_apply_quality(
-        sf_dir: str, tau: float = 0.5,
-        broadcast_max: int = DROP_BROADCAST_MAX) -> pd.DataFrame:
+def dedup_apply_quality(sf_dir: str) -> pd.DataFrame:
     """Quality-aware dedup apply: instead of ``dedup_apply``'s canonical
     minimum member, each near-dup cluster keeps its HIGHEST-quality doc
     (the ``_quality_cols`` score — same transcendental-free arithmetic
@@ -1827,15 +1832,12 @@ def dedup_apply_quality(
     rows ride the join; a cluster-hash meta-bucket reduce picks each
     cluster's keeper; the drop set then applies through the same
     broadcast-or-anti-join tail as ``dedup_apply``."""
-    clusters = dedup_clusters(sf_dir, tau, as_dataset=True)
-    clusters = clusters.materialize() \
-        if not isinstance(clusters, pd.DataFrame) \
-        else rd.from_pandas(clusters).materialize()
+    clusters = dedup_clusters(sf_dir, as_dataset=True).materialize()
     n_cl = clusters.count()
     if n_cl == 0:
         return _apply_drop(sf_dir, rd.from_arrow(pa.table({
             "doc_id": pa.array([], type=pa.int64()),
-            "_dup": pa.array([], type=pa.int8())})), broadcast_max)
+            "_dup": pa.array([], type=pa.int8())})))
 
     def qual(batch: pa.Table) -> pa.Table:
         df = batch.to_pandas()
@@ -1871,7 +1873,7 @@ def dedup_apply_quality(
     drop = j.map_batches(bucketize, batch_format="pyarrow") \
         .groupby("_mb").map_groups(drop_group, batch_format="pandas") \
         .materialize()
-    return _apply_drop(sf_dir, drop, broadcast_max)
+    return _apply_drop(sf_dir, drop)
 
 
 # ---------------------------------------------------------------------------
@@ -1881,15 +1883,16 @@ def dedup_apply_quality(
 TOP_QUALITY_N = 5
 
 
-def top_quality_docs(sf_dir: str, n: int = TOP_QUALITY_N) -> pd.DataFrame:
-    """Top-``n`` docs per language by quality score — the windowed-rank
-    shape (``row_number() OVER (PARTITION BY lang ORDER BY ...)``)
-    without a window engine: per-batch vectorized top-n partials (each
+def top_quality_docs(sf_dir: str) -> pd.DataFrame:
+    """Top-``TOP_QUALITY_N`` docs per language by quality score — the
+    windowed-rank shape (``row_number() OVER (PARTITION BY lang ORDER BY
+    ...)``) without a window engine: per-batch vectorized top-n partials (each
     batch contributes at most n rows per language), then a tiny
     ``groupby(lang)`` final rank over #blocks x n survivors.  Ties break
     on ``doc_id`` so the ranking is total and deterministic.  The quality
     kernel is arithmetic-only (no transcendentals), so the SQL oracle's
     doubles are bit-identical."""
+    n = TOP_QUALITY_N
     def partial(batch: pa.Table) -> pa.Table:
         stats = stats_batch(batch).to_pandas()
         stats["lang"] = np.asarray(batch["lang"].to_pandas().astype(str))
@@ -1930,15 +1933,15 @@ def _round6(x: np.ndarray) -> np.ndarray:
     return np.floor(x * 1e6 + 0.5) / 1e6
 
 
-def tfidf_keywords(sf_dir: str, top: int = TFIDF_TOP,
-                   min_df: int = TFIDF_MIN_DF) -> pd.DataFrame:
-    """Per-doc top-``top`` keywords by TF-IDF (``tf * ln(N/df)``), over
-    lowercase whitespace tokens with document frequency >= ``min_df``
+def tfidf_keywords(sf_dir: str) -> pd.DataFrame:
+    """Per-doc top-``TFIDF_TOP`` keywords by TF-IDF (``tf * ln(N/df)``),
+    over lowercase whitespace tokens with document frequency >=
+    ``TFIDF_MIN_DF``
     (hapax pruning — removes long-tail noise AND bounds the broadcast).
 
     Two passes, no per-doc shuffle: pass 1 builds the document-frequency
     table via distinct-per-doc posting partials -> ``groupby(token)``
-    count -> df filter (the long tail of df < min_df tokens — the vast
+    count -> df filter (the long tail of rarer tokens — the vast
     majority of a corpus vocabulary — never leaves the aggregate); the
     surviving df table is broadcast as sorted arrays.  Pass 2 re-reads
     docs, computes tf in-batch, looks df up via ``searchsorted``, and
@@ -1946,6 +1949,7 @@ def tfidf_keywords(sf_dir: str, top: int = TFIDF_TOP,
     never span batches on the doc-table read).  Scores are rounded to 6
     decimals BEFORE ranking on both the Ray and SQL side, so float noise
     can't flip ranks."""
+    top, min_df = TFIDF_TOP, TFIDF_MIN_DF
     docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
                            columns=["doc_id", "text"])
 
@@ -2044,10 +2048,9 @@ BM25_QUERIES = {
 }
 
 
-def bm25_topk(sf_dir: str, queries: dict | None = None,
-              k1: float = BM25_K1, b: float = BM25_B,
-              top: int = BM25_TOP) -> pd.DataFrame:
-    """Okapi BM25 top-``top`` retrieval for a broadcast query set
+def bm25_topk(sf_dir: str) -> pd.DataFrame:
+    """Okapi BM25 top-``BM25_TOP`` retrieval for the broadcast query set
+    ``BM25_QUERIES``
     (Robertson et al., TREC-3; smoothed idf ``ln(1 + (N-df+.5)/(df+.5))``)
     over lowercase whitespace tokens.
 
@@ -2058,8 +2061,7 @@ def bm25_topk(sf_dir: str, queries: dict | None = None,
     per-query top-k (rounded to 6 dp BEFORE ranking, ties doc_id asc, so
     the per-batch heads merge exactly) — the driver sees
     #blocks x |queries| x k candidate rows."""
-    if queries is None:
-        queries = BM25_QUERIES
+    queries, k1, b, top = BM25_QUERIES, BM25_K1, BM25_B, BM25_TOP
     terms = np.array(sorted({t for ts in queries.values() for t in ts}),
                      dtype=object)
     docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
@@ -2168,7 +2170,7 @@ _DUPSPAN_CKPT_VERSION = 1
 
 
 
-def dupspan_postings_batch(batch: pa.Table, k: int = DUPSPAN_K) -> pa.Table:
+def dupspan_postings_batch(batch: pa.Table, k: int) -> pa.Table:
     """doc -> one posting per word-k-gram OCCURRENCE: (h1, h2, doc_id, pos).
 
     The key is the 128-bit ``_hash128`` of the gram string split into two
@@ -2205,11 +2207,12 @@ def dupspan_postings_batch(batch: pa.Table, k: int = DUPSPAN_K) -> pa.Table:
                      "pos": pa.array(pos)})
 
 
-def dupspan_checkpoint(sf_dir: str, k: int = DUPSPAN_K) -> str:
+def dupspan_checkpoint(sf_dir: str) -> str:
     """ONE tokenize+hash pass per corpus: the k-gram postings are a
     ``caches.checkpoint`` (atomic ``caches.publish``) so the two consumers
     (dup-key detection and position join-back) each read columns off
     disk instead of re-running the gram pass (VERDICT r2 #3)."""
+    k = DUPSPAN_K
     path = os.path.join(sf_dir, "documents.parquet")
     return caches.checkpoint(
         "dupspan",
@@ -2242,8 +2245,7 @@ def _merge_spans(g: pd.DataFrame, k: int) -> pa.Table:
     })
 
 
-def dup_spans(sf_dir: str, k: int = DUPSPAN_K,
-              broadcast_max: int = DUPSPAN_BROADCAST_MAX) -> rd.Dataset:
+def dup_spans(sf_dir: str) -> rd.Dataset:
     """Cross-document duplicated k-gram spans (exact substring-level
     dedup, the span-mining half of Lee et al. ACL'22): every maximal token
     range covered by word-k-grams that occur in >= 2 DISTINCT documents.
@@ -2253,13 +2255,15 @@ def dup_spans(sf_dir: str, k: int = DUPSPAN_K,
     partials — a gram repeated across documents has min(doc) != max(doc),
     so no count-distinct and no pair explosion (a gram shared by a million
     docs costs one aggregate row, not 10^12 pairs).  The dup-key set is
-    broadcast via ray.put below ``broadcast_max`` rows and degrades to a
+    broadcast via ray.put below ``DUPSPAN_BROADCAST_MAX`` rows and
+    degrades to a
     distributed hash join above; span merging buckets by doc-id hash so
     each map_groups call is a vectorized run over many docs (bounded
     meta-buckets, ``widths.REDUCE_BUCKETS``).
     Within-doc-only repeats are NOT flagged (repetition_stats covers
     those)."""
-    ckpt = dupspan_checkpoint(sf_dir, k)
+    k = DUPSPAN_K
+    ckpt = dupspan_checkpoint(sf_dir)
 
     def partial(batch: pa.Table) -> pa.Table:
         # per-batch pre-aggregate + bucket key: the global reduce is a
@@ -2304,7 +2308,7 @@ def dup_spans(sf_dir: str, k: int = DUPSPAN_K,
         .materialize())         # bounded by duplicate-gram volume
     posts = rd.read_parquet(ckpt, columns=["h1", "h2", "doc_id", "pos"],
                             override_num_blocks=nb)
-    if dup.count() <= broadcast_max:
+    if dup.count() <= DUPSPAN_BROADCAST_MAX:
         tbl = pa.concat_tables(
             [b for b in dup.iter_batches(batch_format="pyarrow")]) \
             if dup.count() else pa.schema(
@@ -2417,19 +2421,20 @@ def _pair_counts(sf_dir: str) -> rd.Dataset:
         .materialize()
 
 
-def pmi_bigrams(sf_dir: str, top: int = PMI_TOP,
-                min_cnt: int = PMI_MIN_CNT) -> pd.DataFrame:
-    """Top-``top`` adjacent-word bigrams by PMI = ln(p(xy) / (p(x)p(y))),
-    p(xy) = c_xy/B, p(w) = c_w/N — the classic collocation signal
-    (Church & Hanks '90), with a ``min_cnt`` support floor so hapax
+def pmi_bigrams(sf_dir: str) -> pd.DataFrame:
+    """Top-``PMI_TOP`` adjacent-word bigrams by PMI = ln(p(xy) /
+    (p(x)p(y))), p(xy) = c_xy/B, p(w) = c_w/N — the classic collocation
+    signal (Church & Hanks '90), with a ``PMI_MIN_CNT`` support floor so
+    hapax
     pairings can't dominate.
 
     100 TB shape: the shared pair-count table (``_pair_counts_ds``) is
     reused for totals, the support filter, and two distributed hash
     joins that attach c_x / c_y.  The driver sees only per-batch
-    top-``top`` candidates.  Scores are rounded to 6 decimals BEFORE
+    top-``PMI_TOP`` candidates.  Scores are rounded to 6 decimals BEFORE
     ranking (the tfidf rule) so numpy-vs-DuckDB ln ulps can't flip the
     order; ties break on (w1, w2)."""
+    top, min_cnt = PMI_TOP, PMI_MIN_CNT
     agg = _pair_counts_ds(sf_dir)
 
     def totals(batch: pa.Table) -> pa.Table:
@@ -2516,21 +2521,21 @@ def pmi_bigrams(sf_dir: str, top: int = PMI_TOP,
 QUALITY_KEEP_FRAC = 0.25
 
 
-def quality_percentile_filter(sf_dir: str,
-                              keep_frac: float = QUALITY_KEEP_FRAC
-                              ) -> rd.Dataset:
-    """Keep each language's top ``keep_frac`` of documents by quality —
+def quality_percentile_filter(sf_dir: str) -> rd.Dataset:
+    """Keep each language's top ``QUALITY_KEEP_FRAC`` of documents by
+    quality —
     the RELATIVE quality gate real curation pipelines use instead of a
     fixed threshold (``corpus_filter``).
 
     Exact at 100 TB without a per-group sort: quality is rounded to
     4 decimals (<= 10001 bins), per-batch (lang, qbin) histogram partials
     groupby-sum into per-lang histograms (bin-bounded, NOT corpus-bounded),
-    the driver walks each cumulative histogram to the ``1 - keep_frac``
+    the driver walks each cumulative histogram to the
+    ``1 - QUALITY_KEEP_FRAC``
     discrete quantile (the ``token_quantiles`` definition: sorted element
     at max(ceil(q*n), 1) - 1), and a second pruned pass filters with the
     tiny broadcast threshold map.  Ties at the threshold are kept, so the
-    kept fraction is >= keep_frac."""
+    kept fraction is >= QUALITY_KEEP_FRAC."""
     def qbin_of(df: pd.DataFrame) -> np.ndarray:
         q = _quality_cols(df["text"].fillna(""))["quality"]
         return np.floor(q * 1e4 + 0.5).astype(np.int64)
@@ -2551,7 +2556,7 @@ def quality_percentile_filter(sf_dir: str,
     for lang, g in hist.groupby("lang"):
         g = g.sort_values("qbin")
         cum = g["n"].cumsum().to_numpy(np.int64)
-        k = max(int(np.ceil((1.0 - keep_frac) * int(cum[-1]))), 1)
+        k = max(int(np.ceil((1.0 - QUALITY_KEEP_FRAC) * int(cum[-1]))), 1)
         thr[str(lang)] = int(g["qbin"].to_numpy(np.int64)[
             np.searchsorted(cum, k, side="left")])
 
@@ -2717,7 +2722,7 @@ def distinct_token_counts_hll(sf_dir: str) -> pd.DataFrame:
     return out.sort_values("lang").reset_index(drop=True)
 
 
-def dup_span_stats(sf_dir: str, k: int = DUPSPAN_K) -> rd.Dataset:
+def dup_span_stats(sf_dir: str) -> rd.Dataset:
     """Per-document duplication rollup of ``dup_spans``: how much of each
     flagged doc is covered by cross-document duplicated k-gram spans.
 
@@ -2729,7 +2734,8 @@ def dup_span_stats(sf_dir: str, k: int = DUPSPAN_K) -> rd.Dataset:
     union of the two partial streams (aligned schemas, zero-filled
     columns) — no high-cardinality aggregate (per-GROUP overhead, see
     ``widths.REDUCE_BUCKETS``), no join."""
-    spans = dup_spans(sf_dir, k)
+    k = DUPSPAN_K
+    spans = dup_spans(sf_dir)
     _schema = pa.schema([("doc_id", pa.int64()), ("n_spans", pa.int64()),
                          ("dup_tokens", pa.int64()), ("m", pa.int64()),
                          ("bucket", pa.int64())])
@@ -2784,7 +2790,7 @@ def dup_span_stats(sf_dir: str, k: int = DUPSPAN_K) -> rd.Dataset:
             "dup_fraction": pa.array(_round6(dup / total))},
             schema=out_schema)
 
-    ckpt = dupspan_checkpoint(sf_dir, k)
+    ckpt = dupspan_checkpoint(sf_dir)
     nb = widths.byte_blocks(ckpt)
     totals = rd.read_parquet(ckpt, columns=["doc_id"],
                              override_num_blocks=nb) \
@@ -2840,8 +2846,7 @@ MIX_WEIGHTS = {"src0": 3.0, "src1": 2.0}
 MIX_DEFAULT_WEIGHT = 1.0
 
 
-def corpus_mix(sf_dir: str, weights: dict = MIX_WEIGHTS,
-               default_w: float = MIX_DEFAULT_WEIGHT) -> rd.Dataset:
+def corpus_mix(sf_dir: str) -> rd.Dataset:
     """Deterministic mixture weighting: downsample each ``source`` so the
     kept corpus matches the target source shares — the data-mixing step
     of a pretraining pipeline (c.f. The Pile / DoReMi-style static
@@ -2869,7 +2874,7 @@ def corpus_mix(sf_dir: str, weights: dict = MIX_WEIGHTS,
         return rd.from_arrow(pa.table({
             "doc_id": pa.array([], type=pa.int64()),
             "source": pa.array([], type=pa.string())}))
-    w_by = {s: float(weights.get(s, default_w)) for s in n_by}
+    w_by = {s: float(MIX_WEIGHTS.get(s, MIX_DEFAULT_WEIGHT)) for s in n_by}
     t = min(n_by[s] / w_by[s] for s in n_by)
     thr = {s: _rate_hex((t * w_by[s]) / n_by[s]) for s in n_by}
 
@@ -2897,21 +2902,22 @@ BIGRAM_MODEL = 8192     #: bigram model size (top-B among vocab pairs)
 BACKOFF_ALPHA = 0.4     #: Brants et al. 2007 "stupid backoff" constant
 
 
-def bigram_logprob(sf_dir: str, v: int = BIGRAM_VOCAB,
-                   b: int = BIGRAM_MODEL,
-                   alpha: float = BACKOFF_ALPHA) -> rd.Dataset:
+def bigram_logprob(sf_dir: str) -> rd.Dataset:
     """Per-doc average NLL under a corpus-trained BIGRAM model with
     stupid backoff (Brants et al., EMNLP'07): positions i >= 1 score
     ``-ln(c(v,w)/c(v))`` when the bigram is in the model, else
-    ``-ln(alpha * c(w)/N)`` (unigram backoff, OOV floor count 1) — a
+    ``-ln(BACKOFF_ALPHA * c(w)/N)`` (unigram backoff, OOV floor count
+    1) — a
     sharper fluency/quality signal than ``unigram_logprob``.
 
     Model build reuses the shared pair-count table (ONE corpus pass):
-    top-``v`` unigrams (n desc, token asc) and top-``b`` bigrams whose
+    top-``BIGRAM_VOCAB`` unigrams (n desc, token asc) and
+    top-``BIGRAM_MODEL`` bigrams whose
     BOTH words are in the vocab, each pruned per block before the tiny
     driver pull, then ``ray.put`` once.  Scoring is one vectorized pass;
     docs under 2 tokens score 0.  6-dp floor rounding on both sides
     absorbs summation-order ulps."""
+    v, b, alpha = BIGRAM_VOCAB, BIGRAM_MODEL, BACKOFF_ALPHA
     agg = _pair_counts_ds(sf_dir)
 
     def split_uni(batch: pa.Table) -> pa.Table:
@@ -2998,21 +3004,20 @@ PACK_BUDGET = 256       #: tokens per packed training sequence
 PACK_RANGE = 256        #: doc_ids per independent packing range
 
 
-def pack_sequences(sf_dir: str, budget: int = PACK_BUDGET,
-                   chunk_tokens: int = CHUNK_TOKENS,
-                   rng: int = PACK_RANGE) -> rd.Dataset:
+def pack_sequences(sf_dir: str) -> rd.Dataset:
     """Greedy next-fit packing of ``doc_chunks`` windows into
     fixed-budget training sequences — the sequence-prep step between
     chunking and batching in a pretraining pipeline.
 
     Packing is inherently sequential, so the parallel unit is a FIXED
-    doc-id range (``grp = doc_id // rng``): chunks pack in (doc_id,
+    doc-id range (``grp = doc_id // PACK_RANGE``): chunks pack in (doc_id,
     chunk_idx) order within their range, a sequence never spans a range
     boundary (at most one underfull sequence per range), and the result
     is partition-independent and reproducible.  Ranges reduce through
     meta-buckets (the ``widths.REDUCE_BUCKETS`` rule); the in-range kernel
     loops over SEQUENCES via searchsorted on the chunk-size prefix sum,
     not over chunks.  Only (grp, doc, idx, size) rows shuffle — never text."""
+    budget, chunk_tokens, rng = PACK_BUDGET, CHUNK_TOKENS, PACK_RANGE
     def sizes(batch: pa.Table) -> pa.Table:
         df = batch.to_pandas()
         ids = df["doc_id"].to_numpy(np.int64)
@@ -3104,10 +3109,9 @@ def _segment_sum(pk: np.ndarray, c: np.ndarray, szpk: np.ndarray):
     return pk[starts], np.add.reduceat(c, starts), szpk[starts]
 
 
-def winnow_dup_pairs(sf_dir: str, tau: float = WINNOW_PAIR_TAU,
-                     cap: int = MAX_POSTING) -> pd.DataFrame:
+def winnow_dup_pairs(sf_dir: str) -> pd.DataFrame:
     """Copy detection the way MOSS uses winnowing: pairs whose
-    fingerprint-set Jaccard >= tau.  The fifth near-dup signal
+    fingerprint-set Jaccard >= ``WINNOW_PAIR_TAU``.  The fifth near-dup signal
     (exact / MinHash / SimHash / n-gram Jaccard / winnow overlap) —
     character-level, so it catches shared RUNS that word-shingle
     methods dilute.
@@ -3116,10 +3120,12 @@ def winnow_dup_pairs(sf_dir: str, tau: float = WINNOW_PAIR_TAU,
     meta-bucket pair mining (one row per SHARED fingerprint — the
     multiplicity IS |A n B| over the deduped sets), and a bucketed count
     step computes the exact fingerprint Jaccard with no join-back at all
-    (set sizes ride the postings).  Hot fingerprints above ``cap`` are
+    (set sizes ride the postings).  Hot fingerprints above
+    ``MAX_POSTING`` are
     skipped and counted (``LAST_METRICS['winnow_dup_pairs']``); a capped
     posting can under-count shared fingerprints — the same recall-loss
     class every cap introduces, never silent."""
+    tau, cap, k, w = WINNOW_PAIR_TAU, MAX_POSTING, WINNOW_K, WINNOW_W
     def postings(batch: pa.Table) -> pa.Table:
         # fingerprint + derive postings in ONE kernel over DOCUMENT rows:
         # inside a single UDF invocation every fp row of a doc is local
@@ -3127,7 +3133,7 @@ def winnow_dup_pairs(sf_dir: str, tau: float = WINNOW_PAIR_TAU,
         # (Consuming winnow_fingerprints() instead would be wrong: Ray's
         # dynamic block splitting may slice that op's OUTPUT at arbitrary
         # row boundaries, splitting a doc's rows across batches.)
-        batch = winnow_batch(batch)
+        batch = winnow_batch(batch, k, w)
         df = batch.to_pandas()[["doc_id", "fp"]].drop_duplicates()
         ids = df["doc_id"].to_numpy(np.int64)
         fp = df["fp"].to_numpy(np.int64)
@@ -3218,7 +3224,7 @@ def winnow_dup_pairs(sf_dir: str, tau: float = WINNOW_PAIR_TAU,
 
     # fingerprint + posting mine + count Jaccard run ONCE per (corpus
     # fingerprint, tau, cap, k, w) — re-runs read the pair set back
-    key = _pairs_ckpt_key(sf_dir, float(tau), int(cap), WINNOW_K, WINNOW_W)
+    key = _pairs_ckpt_key(sf_dir, float(tau), int(cap), k, w)
     ds = caches.dataset_checkpoint("winnow_pairs", key, build,
                                    metrics=LAST_METRICS,
                                    metrics_key="winnow_dup_pairs")
@@ -3237,9 +3243,9 @@ def winnow_dup_pairs(sf_dir: str, tau: float = WINNOW_PAIR_TAU,
 WEIGHTED_SAMPLE_K = 50
 
 
-def corpus_weighted_sample(sf_dir: str,
-                           k: int = WEIGHTED_SAMPLE_K) -> pd.DataFrame:
-    """Weight-proportional sample of ``k`` docs without replacement
+def corpus_weighted_sample(sf_dir: str) -> pd.DataFrame:
+    """Weight-proportional sample of ``WEIGHTED_SAMPLE_K`` docs without
+    replacement
     (Efraimidis & Spirakis, IPL 2006: draw u~U(0,1] per item, keep the
     top-k by u^(1/w) — here the rank-equivalent ln(u)/w).  u is
     DETERMINISTIC — ``md5('w:' + doc_id)`` first-8-hex as a u32, the
@@ -3252,6 +3258,7 @@ def corpus_weighted_sample(sf_dir: str,
     so each block keeps only its local top-k (6-dp floor-rounded BEFORE
     ranking, ties doc_id asc) and the driver merges #blocks x k
     candidate rows — no shuffle, no global sort."""
+    k = WEIGHTED_SAMPLE_K
     ds = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
                          columns=["doc_id", "n_chars"])
 
@@ -3291,9 +3298,7 @@ def _split_assign(ids: np.ndarray, key: np.ndarray) -> pa.Table:
                      "split": pa.array(split, type=pa.string())})
 
 
-def corpus_split_leakfree(
-        sf_dir: str, tau: float = 0.5,
-        broadcast_max: int = DROP_BROADCAST_MAX) -> pd.DataFrame:
+def corpus_split_leakfree(sf_dir: str) -> pd.DataFrame:
     """Cluster-aware train/val/test assignment: near-duplicate documents
     NEVER straddle a split boundary (a near-dup of a training doc inside
     the eval split is exactly the leakage dedup exists to prevent — Lee
@@ -3305,7 +3310,7 @@ def corpus_split_leakfree(
 
     Two remap paths, the ``dedup_apply`` rule:
 
-    * label volume <= ``broadcast_max``: one ``ray.put`` of two sorted
+    * label volume <= ``DROP_BROADCAST_MAX``: one ``ray.put`` of two sorted
       int64 arrays, vectorized ``searchsorted`` remap inside the one
       streaming pass over doc ids (no shuffle at all);
     * larger (a heavy-dup corpus labels a large fraction of itself):
@@ -3316,14 +3321,14 @@ def corpus_split_leakfree(
     The per-row md5 of the decimal key is the oracle-pinned cost
     ``corpus_split`` already pays."""
     import pyarrow.compute as pc
-    clusters = dedup_clusters(sf_dir, tau, as_dataset=True)
+    clusters = dedup_clusters(sf_dir, as_dataset=True)
     labels = clusters.select_columns(["doc_id", "cluster_id"]) \
         .materialize()
     n_lab = labels.count()
     ds = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
                          columns=["doc_id"])
 
-    if n_lab <= broadcast_max:
+    if n_lab <= DROP_BROADCAST_MAX:
         lab = labels.to_pandas().sort_values("doc_id")
         ref = ray.put((lab["doc_id"].to_numpy(np.int64),
                        lab["cluster_id"].to_numpy(np.int64)))
@@ -3367,6 +3372,9 @@ def corpus_split_leakfree(
 # ---------------------------------------------------------------------------
 
 SKETCH_CAP = 512
+#: a failed certificate re-runs uncapped, so the exact-quantile oracle
+#: holds unconditionally; False keeps the bounded-error sketch answer
+SKETCH_EXACT_FALLBACK = True
 
 
 def _q_compact(vals: np.ndarray, ws: np.ndarray,
@@ -3392,9 +3400,9 @@ def _q_compact(vals: np.ndarray, ws: np.ndarray,
     return vals[uniq], w2, True
 
 
-def quality_quantiles_sketch(sf_dir: str, qs: tuple = TOKEN_QUANTILES,
-                             cap: int = SKETCH_CAP,
-                             exact_fallback: bool = False) -> pd.DataFrame:
+# cap: SKETCH_CAP for the registry entry, uncapped in its exact fallback
+def quality_quantiles_sketch(sf_dir: str,
+                             cap: int = SKETCH_CAP) -> pd.DataFrame:
     """Per-language quality-score quantiles through a deterministic
     mergeable rank sketch — the sketch-family scale path for a
     CONTINUOUS value (the exact ``token_quantiles`` histogram relies on
@@ -3412,6 +3420,7 @@ def quality_quantiles_sketch(sf_dir: str, qs: tuple = TOKEN_QUANTILES,
     compaction does occur the pytest gate bounds the rank error by
     levels x W/cap.  The quality arithmetic is transcendental-free, so
     values are bit-identical to the SQL's doubles."""
+    qs = TOKEN_QUANTILES
     def partial(batch: pa.Table) -> pa.Table:
         df = batch.to_pandas()
         qv = _quality_cols(df["text"].fillna(""))["quality"]
@@ -3459,14 +3468,12 @@ def quality_quantiles_sketch(sf_dir: str, qs: tuple = TOKEN_QUANTILES,
           .groupby("lang").map_groups(merge_group, batch_format="pandas")
           .to_pandas())
     compacted = bool(df["c"].max()) if len(df) else False
-    if compacted and exact_fallback:
+    if compacted and SKETCH_EXACT_FALLBACK:
         # Certificate failed — re-run uncapped: partials never compact,
         # so the merge sees the full per-lang multiset and the result IS
-        # the exact quantile.  The driver-facing wrapper enables this so
-        # the registered exact-quantile oracle holds unconditionally; at
-        # cluster scale callers keep the default (bounded-error sketch).
+        # the exact quantile.
         out = quality_quantiles_sketch(
-            sf_dir, qs, cap=np.iinfo(np.int64).max // 4)
+            sf_dir, cap=np.iinfo(np.int64).max // 4)
         LAST_METRICS["quality_quantiles_sketch"] = {
             "cap": cap, "compacted": True, "exact_fallback_used": True}
         return out

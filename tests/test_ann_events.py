@@ -28,8 +28,10 @@ def emb_dir(tmp_path_factory, ray_session):
     return str(d)
 
 
-def test_topk_exact(emb_dir):
-    out = ann.topk_neighbors(emb_dir, k=3, n_queries=2)
+def test_topk_exact(emb_dir, monkeypatch):
+    monkeypatch.setattr(ann, "K_NEIGHBORS", 3)
+    monkeypatch.setattr(ann, "N_QUERIES", 2)
+    out = ann.topk_neighbors(emb_dir)
     q0 = out[out.query_id == 0]
     assert list(q0["rank"]) == [1, 2, 3]
     assert q0.iloc[0]["neighbor_id"] == 2        # cos=1 beats the noisy copy
@@ -44,11 +46,13 @@ def test_topk_exact(emb_dir):
     assert set(q0["neighbor_id"]) == exp
 
 
-def test_cosine_pairs_brute_vs_lsh(emb_dir):
-    brute = ann.cosine_pairs(emb_dir, tau=0.9)
+def test_cosine_pairs_brute_vs_lsh(emb_dir, monkeypatch):
+    monkeypatch.setattr(ann, "COS_TAU", 0.9)
+    monkeypatch.setattr(ann, "EMB_DIM", 16)
+    brute = ann.cosine_pairs(emb_dir)
     got = set(zip(brute.vec_a, brute.vec_b))
     assert (0, 2) in got and (0, 1) in got
-    lsh = ann.cosine_pairs_lsh(emb_dir, tau=0.9, dim=16)
+    lsh = ann.cosine_pairs_lsh(emb_dir)
     # LSH is approximate but must find the exact-direction duplicate
     assert (0, 2) in set(zip(lsh.vec_a, lsh.vec_b))
     assert set(zip(lsh.vec_a, lsh.vec_b)) <= got
@@ -95,17 +99,19 @@ def test_sessionize(ev_dir):
     assert len(u2) == 1 and int(u2.iloc[0]["n_events"]) == 1
 
 
-def test_topk_ivf_recall(emb_dir):
-    exact = ann.topk_neighbors(emb_dir, k=3, n_queries=2)
-    approx = ann.topk_neighbors_ivf(emb_dir, k=3, n_queries=2,
-                                    n_lists=4, nprobe=4)
+def test_topk_ivf_recall(emb_dir, monkeypatch):
+    monkeypatch.setattr(ann, "K_NEIGHBORS", 3)
+    monkeypatch.setattr(ann, "N_QUERIES", 2)
+    monkeypatch.setattr(ann, "IVF_K", 4)
+    exact = ann.topk_neighbors(emb_dir)
+    approx = ann.topk_neighbors_ivf(emb_dir, nprobe=4)
     # full probe (nprobe == n_lists) must equal the exact result
     pd_exact = set(map(tuple, exact.values))
     pd_apx = set(map(tuple, approx.values))
     assert pd_exact == pd_apx
     # reduced probe still finds the exact-direction duplicate as rank 1
-    apx1 = ann.topk_neighbors_ivf(emb_dir, k=3, n_queries=1,
-                                  n_lists=4, nprobe=1)
+    monkeypatch.setattr(ann, "N_QUERIES", 1)
+    apx1 = ann.topk_neighbors_ivf(emb_dir, nprobe=1)
     assert apx1.iloc[0]["neighbor_id"] == 2
 
 
@@ -134,11 +140,13 @@ def test_asof_attribution(ev_dir):
     assert pd.isna(p2["src_event_id"])
 
 
-def test_cosine_lsh_recall_gate(emb_dir):
+def test_cosine_lsh_recall_gate(emb_dir, monkeypatch):
     """Recall gate (VERDICT r1): the multiprobe LSH pair set must recover
     >= 90% of the exact pair set at the operating tau, and stay a subset."""
-    brute = ann.cosine_pairs(emb_dir, tau=0.5)
-    lsh = ann.cosine_pairs_lsh(emb_dir, tau=0.5, dim=16)
+    monkeypatch.setattr(ann, "COS_TAU", 0.5)
+    monkeypatch.setattr(ann, "EMB_DIM", 16)
+    brute = ann.cosine_pairs(emb_dir)
+    lsh = ann.cosine_pairs_lsh(emb_dir)
     exact = set(zip(brute.vec_a, brute.vec_b))
     got = set(zip(lsh.vec_a, lsh.vec_b))
     assert got <= exact
@@ -146,11 +154,13 @@ def test_cosine_lsh_recall_gate(emb_dir):
     assert len(got) / len(exact) >= 0.9
 
 
-def test_cosine_lsh_deterministic(emb_dir):
+def test_cosine_lsh_deterministic(emb_dir, monkeypatch):
     """Hyperplanes are re-seeded per call: two runs in one process agree
     (ADVICE r1: the old module-level rng drifted between calls)."""
-    a = ann.cosine_pairs_lsh(emb_dir, tau=0.9, dim=16)
-    b = ann.cosine_pairs_lsh(emb_dir, tau=0.9, dim=16)
+    monkeypatch.setattr(ann, "COS_TAU", 0.9)
+    monkeypatch.setattr(ann, "EMB_DIM", 16)
+    a = ann.cosine_pairs_lsh(emb_dir)
+    b = ann.cosine_pairs_lsh(emb_dir)
     assert a.equals(b)
 
 
@@ -194,13 +204,15 @@ def test_events_funnel_semantics(tmp_path, ray_session):
     assert out.loc[4, "signup_ts"] == t0
 
 
-def test_ivf_fullprobe_equals_exact(ray_session):
+def test_ivf_fullprobe_equals_exact(ray_session, monkeypatch):
     """Probing every list disables the approximation: the IVF machinery
     must reproduce the exact brute-force top-k bit-for-bit."""
     from osmlint import ann
     sf = "/root/testdata/sf0.001"
-    exact = ann.topk_neighbors(sf, k=5, n_queries=4)
-    full = ann.topk_neighbors_ivf(sf, k=5, n_queries=4, nprobe=ann.IVF_K)
+    monkeypatch.setattr(ann, "K_NEIGHBORS", 5)
+    monkeypatch.setattr(ann, "N_QUERIES", 4)
+    exact = ann.topk_neighbors(sf)
+    full = ann.topk_neighbors_ivf(sf, nprobe=ann.IVF_K)
     pd.testing.assert_frame_equal(
         exact.reset_index(drop=True)[["query_id", "neighbor_id", "rank"]],
         full.reset_index(drop=True)[["query_id", "neighbor_id", "rank"]])
@@ -291,14 +303,15 @@ def test_events_retention_triangle(tmp_path, ray_session):
                    ("2024-01-02", 0): 1, ("2024-01-02", 1): 1}
 
 
-def test_knn_graph_exact_and_guard(ray_session):
+def test_knn_graph_exact_and_guard(ray_session, monkeypatch):
     import numpy as np
     import pyarrow.parquet as pq
     import pytest
 
     from osmlint import ann
     sf = "/root/testdata/sf0.001"
-    g = ann.knn_graph(sf, k=3)
+    monkeypatch.setattr(ann, "K_NEIGHBORS", 3)
+    g = ann.knn_graph(sf)
     t = pq.read_table(sf + "/embeddings.parquet").to_pandas()
     m = np.stack(t["embedding"].to_numpy()).astype(np.float64)
     mn = m / np.maximum(np.sqrt((m * m).sum(1, keepdims=True)), 1e-30)
@@ -340,16 +353,17 @@ def test_events_anomalies_zscore(tmp_path, ray_session):
     assert out["z"].iloc[0] > 3
 
 
-def test_pagerank_distributed_equals_local(ray_session):
+def test_pagerank_distributed_equals_local(ray_session, monkeypatch):
     """The per-iteration join+bucket-sum path reproduces the vectorized
     local power loop to 6-dp (the comparison grain the operator
     documents), and basic mass invariants hold."""
     import numpy as np
 
-    from osmlint import ann
+    from osmlint import ann, graph
     sf = "/root/testdata/sf0.001"
     local = ann.knn_pagerank(sf)
-    dist = ann.knn_pagerank(sf, small_threshold=0)
+    monkeypatch.setattr(graph, "SMALL_EDGES", 0)
+    dist = ann.knn_pagerank(sf)
     assert list(local["vec_id"]) == list(dist["vec_id"])
     assert np.array_equal(local["pagerank"].to_numpy(),
                           dist["pagerank"].to_numpy())
@@ -360,7 +374,7 @@ def test_pagerank_distributed_equals_local(ray_session):
     assert pr.sum() <= 1.0 + n * 5e-7
 
 
-def test_pagerank_star_graph_closed_form(ray_session):
+def test_pagerank_star_graph_closed_form(ray_session, monkeypatch):
     """On a star (every leaf -> hub, hub -> one leaf), leaf and hub
     ranks follow the closed-form recurrence."""
     import numpy as np
@@ -370,7 +384,8 @@ def test_pagerank_star_graph_closed_form(ray_session):
     leaves = list(range(1, 6))
     edges = pd.DataFrame({"src": leaves + [0],
                           "dst": [0] * len(leaves) + [1]})
-    out = graph.pagerank(rd.from_pandas(edges), iters=10) \
+    monkeypatch.setattr(graph, "PR_ITERS", 10)
+    out = graph.pagerank(rd.from_pandas(edges)) \
         .set_index("node")["pagerank"]
     n, d = 6, 0.85
     r = {v: 1 / n for v in range(n)}
@@ -382,7 +397,7 @@ def test_pagerank_star_graph_closed_form(ray_session):
         assert abs(out.loc[v] - r[v]) < 1e-9
 
 
-def test_pq_encode_and_adc_invariants(ray_session):
+def test_pq_encode_and_adc_invariants(ray_session, monkeypatch):
     """Codes stay in [0, KSUB); a codebook vector encodes to itself in
     every subspace (zero quantization error), so its ADC distance to any
     query equals the EXACT squared L2 distance (up to 6-dp rounding)."""
@@ -400,7 +415,9 @@ def test_pq_encode_and_adc_invariants(ray_session):
     own = codes[codes["vec_id"] < ann.PQ_KSUB]
     assert (own["code"] == own["vec_id"]).all()
     # ADC == exact distance for zero-error (codebook) database vectors
-    top = ann.pq_topk_adc(sf, k=10_000, n_queries=2)
+    monkeypatch.setattr(ann, "K_NEIGHBORS", 10_000)
+    monkeypatch.setattr(ann, "N_QUERIES", 2)
+    top = ann.pq_topk_adc(sf)
     t = pq.read_table(sf + "/embeddings.parquet").to_pandas()
     emb = {int(r["vec_id"]): np.asarray(r["embedding"], dtype=np.float64)
            for _, r in t.iterrows()}
@@ -479,29 +496,31 @@ def test_embedding_kmeans_invariants(ray_session):
     assert (d.argmin(axis=1) == lab).mean() > 0.99   # fixpoint (ties aside)
 
 
-def test_knn_graph_ivf_fullprobe_equals_exact(ray_session):
+def test_knn_graph_ivf_fullprobe_equals_exact(ray_session, monkeypatch):
     """nprobe == n_lists scores every (vector, candidate) pair exactly
     once (each candidate is a member of ONE list), so the IVF graph must
     reproduce the exact graph bit-for-bit — the hard-oracle
     configuration the driver also checks."""
     from osmlint import ann
     sf = "/root/testdata/sf0.001"
-    ex = ann.knn_graph(sf, k=3)
-    fp = ann.knn_graph_ivf_fullprobe(sf, k=3)
+    monkeypatch.setattr(ann, "K_NEIGHBORS", 3)
+    ex = ann.knn_graph(sf)
+    fp = ann.knn_graph_ivf_fullprobe(sf)
     pd.testing.assert_frame_equal(fp.reset_index(drop=True),
                                   ex.reset_index(drop=True))
 
 
-def test_knn_graph_ivf_recall_and_determinism(ray_session):
+def test_knn_graph_ivf_recall_and_determinism(ray_session, monkeypatch):
     """The approximate graph (nprobe < n_lists) is rows-only in the
     driver; in-repo it must (a) cover every vector, (b) keep a recall
     floor vs the exact graph (0.61 measured on the fixed synth seeds;
     gate at 0.5), (c) be deterministic across runs."""
     from osmlint import ann
     sf = "/root/testdata/sf0.001"
-    ex = ann.knn_graph(sf, k=3)
-    a1 = ann.knn_graph_ivf(sf, k=3)
-    a2 = ann.knn_graph_ivf(sf, k=3)
+    monkeypatch.setattr(ann, "K_NEIGHBORS", 3)
+    ex = ann.knn_graph(sf)
+    a1 = ann.knn_graph_ivf(sf)
+    a2 = ann.knn_graph_ivf(sf)
     pd.testing.assert_frame_equal(a1, a2)
     assert set(a1["vec_id"]) == set(ex["vec_id"])
     assert (a1.groupby("vec_id")["rank"].max() <= 3).all()
@@ -510,7 +529,7 @@ def test_knn_graph_ivf_recall_and_determinism(ray_session):
     assert len(got & exp) / len(exp) >= 0.5
 
 
-def test_kmeans_1iter_matches_numpy(ray_session):
+def test_kmeans_1iter_matches_numpy(ray_session, monkeypatch):
     """One Lloyd step from the k lowest vec_ids' normalized vectors,
     recomputed in numpy: same assignment (argmin squared distance, ties
     to the lowest cluster), same per-(cluster, dim) mean of NORMALIZED
@@ -520,7 +539,8 @@ def test_kmeans_1iter_matches_numpy(ray_session):
 
     from osmlint import ann
     sf = "/root/testdata/sf0.001"
-    out = ann.embedding_kmeans_1iter(sf, k=4)
+    monkeypatch.setattr(ann, "KMEANS_K", 4)
+    out = ann.embedding_kmeans_1iter(sf)
     t = pq.read_table(sf + "/embeddings.parquet").to_pandas() \
         .sort_values("vec_id").reset_index(drop=True)
     m = np.stack(t["embedding"].to_numpy()).astype(np.float64)
@@ -539,7 +559,7 @@ def test_kmeans_1iter_matches_numpy(ray_session):
         or out.groupby("cluster")["n_vecs"].first().sum() == len(t)
 
 
-def test_dedup_cosine_clusters(ray_session):
+def test_dedup_cosine_clusters(ray_session, monkeypatch):
     """Clusters from the LSH pair miner close the exact-cosine pair
     graph: recompute pairs brute-force, union-find, compare labels."""
     import numpy as np
@@ -550,7 +570,8 @@ def test_dedup_cosine_clusters(ray_session):
     sf = "/root/testdata/sf0.001"
     tau = 0.45    # sf0.001 max pairwise cosine is ~0.479 (7 pairs here);
                   # the registered query keeps the registry tau
-    out = ann.dedup_cosine_clusters(sf, tau=tau)
+    monkeypatch.setattr(ann, "COS_TAU", tau)
+    out = ann.dedup_cosine_clusters(sf)
     t = pq.read_table(sf + "/embeddings.parquet").to_pandas()
     m = np.stack(t["embedding"].to_numpy()).astype(np.float64)
     mn = m / np.maximum(np.sqrt((m * m).sum(1, keepdims=True)), 1e-30)
@@ -607,7 +628,7 @@ def test_embedding_project_jl_property(ray_session):
     assert 0.8 < np.median(ratio) < 1.2
 
 
-def test_r4_ops_tiny_and_empty_edges(tmp_path, ray_session):
+def test_r4_ops_tiny_and_empty_edges(tmp_path, ray_session, monkeypatch):
     """Degenerate inputs: no query-term hits (BM25), sub-codebook-size
     embeddings (PQ refuses loudly), single-row joins and single-event
     trends all keep their schemas instead of crashing."""
@@ -620,10 +641,12 @@ def test_r4_ops_tiny_and_empty_edges(tmp_path, ray_session):
                          "lang": "en", "source": "s", "n_chars": 7})
     pq.write_table(pa.Table.from_pandas(docs, preserve_index=False),
                    str(d / "documents.parquet"))
-    out = textops.bm25_topk(str(d), queries={0: ("missingword",)})
+    monkeypatch.setattr(textops, "BM25_QUERIES", {0: ("missingword",)})
+    out = textops.bm25_topk(str(d))
     assert len(out) == 0
     assert list(out.columns) == ["query_id", "doc_id", "score", "rank"]
-    one = textops.corpus_weighted_sample(str(d), k=3)
+    monkeypatch.setattr(textops, "WEIGHTED_SAMPLE_K", 3)
+    one = textops.corpus_weighted_sample(str(d))
     assert list(one["doc_id"]) == [1] and list(one["rank"]) == [1]
 
     emb = pd.DataFrame({"vec_id": [1],
@@ -676,7 +699,7 @@ def test_diversity_sample_brute(emb_dir):
     assert (np.diff(seq) <= 0).all()
 
 
-def test_heavy_users_brute(tmp_path, ray_session):
+def test_heavy_users_brute(tmp_path, ray_session, monkeypatch):
     """Top-k per type vs a pandas brute force on a table engineered so
     the top-k boundary carries a count TIE (ranking must break to the
     lowest user_id) and a user is heavy in one type only."""
@@ -696,7 +719,8 @@ def test_heavy_users_brute(tmp_path, ray_session):
     df["props"] = "{}"
     pq.write_table(pa.Table.from_pandas(df, preserve_index=False),
                    os.path.join(d, "events.parquet"))
-    got = eventops.heavy_users(d, k=3)
+    monkeypatch.setattr(eventops, "HEAVY_TOP", 3)
+    got = eventops.heavy_users(d)
     a = got[got["event_type"] == "A"]
     assert a["user_id"].tolist() == [3, 4, 5]      # tie 4 vs 5 -> 4 first
     assert a["n_events"].tolist() == [7, 6, 6]

@@ -272,6 +272,33 @@ def test_generic_sophox_fix_mixed_actions_one_batch():
     assert set(gs["tag"]) == {"name:sr"}
 
 
+def test_fix_plan_state_built_once_per_worker(monkeypatch):
+    """``fix_plan_batch`` builds its lookup state once per worker, as
+    ``flag_batch`` does: a second batch with the same refs resolves no
+    ref again (no per-batch ray.get, re-index or suite map)."""
+    import pyarrow as pa
+    from osmlint import fixes
+    resolved = []
+    resolve = fixes._resolve
+    monkeypatch.setattr(fixes, "_resolve",
+                        lambda ref: resolved.append(ref) or resolve(ref))
+    wiki_ref = pd.DataFrame({
+        "title": [], "exists": [], "has_box": [], "wiki_lat": [],
+        "wiki_lon": [], "qid": [], "in_serbian": []}).set_index("title")
+    wikidata_ref = pd.DataFrame({"qid": [], "label_sr": []}).set_index("qid")
+    df = _batch([{"origin": "sophox", "name": "А", "tag_1": "name:sr",
+                  "val_1": "Ново", "check_description": "d {0}"}])
+    df["map_slug"] = "serbia_pbf"
+    tbl = pa.Table.from_pandas(df, preserve_index=False)
+    outs = [fixes.fix_plan_batch(tbl, wiki_ref_ref=wiki_ref,
+                                 wikidata_ref_ref=wikidata_ref,
+                                 wiki_links_ref=None).to_pandas()
+            for _ in range(2)]
+    assert len(resolved) == 3
+    pd.testing.assert_frame_equal(outs[0], outs[1])
+    assert list(outs[0]["action"]) == ["add"]
+
+
 def test_guess_from_wiki_depth3_walk():
     """The bounded DFS of _guess_from_wikipedia (src/checks.py:46-134):
     direct accept, boxed-but-far stop, depth-2 target accept, depth-3

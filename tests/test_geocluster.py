@@ -93,28 +93,30 @@ def test_oracle_parity(result):
         check_dtype=False)
 
 
-def test_distributed_paths_agree(result):
+def test_distributed_paths_agree(result, monkeypatch):
     """The default run takes the local vectorized tail; force the FULLY
-    distributed tail (small_threshold=0) AND the JOIN-based core-flag
+    distributed tail (SMALL_PAIRS patched to 0) AND the JOIN-based core-flag
     path (broadcast ceiling dropped) and require identical output."""
     d, got = result
     old = geocluster.BROADCAST_MAX
     geocluster.BROADCAST_MAX = 0
     osmlint.clear_caches()      # knobs aren't in the cache key
+    monkeypatch.setattr(geocluster, "SMALL_PAIRS", 0)
     try:
-        got2 = geocluster.geo_clusters(d, small_threshold=0).to_pandas() \
+        got2 = geocluster.geo_clusters(d).to_pandas() \
             .sort_values(["osm_id", "entity_type"]).reset_index(drop=True)
     finally:
         geocluster.BROADCAST_MAX = old
     pd.testing.assert_frame_equal(got, got2, check_dtype=False)
 
 
-def test_distributed_broadcast_path_agrees(result):
+def test_distributed_broadcast_path_agrees(result, monkeypatch):
     """Distributed tail with the BROADCAST core-flag path (ceiling
     intact) also matches the local kernel."""
     d, got = result
     osmlint.clear_caches()      # drop the forced-join entry
-    got2 = geocluster.geo_clusters(d, small_threshold=0).to_pandas() \
+    monkeypatch.setattr(geocluster, "SMALL_PAIRS", 0)
+    got2 = geocluster.geo_clusters(d).to_pandas() \
         .sort_values(["osm_id", "entity_type"]).reset_index(drop=True)
     pd.testing.assert_frame_equal(got, got2, check_dtype=False)
 
@@ -304,7 +306,8 @@ def test_distributed_sizes_match_local_on_wide_clusters(result, monkeypatch,
     for ceiling in (geocluster.BROADCAST_MAX, 0):
         monkeypatch.setattr(geocluster, "BROADCAST_MAX", ceiling)
         osmlint.clear_caches()   # knobs aren't in the cache key
-        got = geocluster.geo_clusters(d, small_threshold=0).to_pandas() \
+        monkeypatch.setattr(geocluster, "SMALL_PAIRS", 0)
+        got = geocluster.geo_clusters(d).to_pandas() \
             .sort_values(["osm_id", "entity_type"]).reset_index(drop=True)
         pd.testing.assert_frame_equal(want, got, check_dtype=False)
     osmlint.clear_caches()

@@ -38,7 +38,7 @@ def test_local_cc_chain_and_islands():
     assert df.loc[[30, 31, 32], "cluster_size"].tolist() == [3] * 3
 
 
-def test_distributed_cc_matches_local(ray_session):
+def test_distributed_cc_matches_local(ray_session, monkeypatch):
     """Force the distributed min-label path and compare against the local
     closure on a graph with a long chain (multiple propagation rounds)."""
     rng = np.random.default_rng(3)
@@ -48,20 +48,23 @@ def test_distributed_cc_matches_local(ray_session):
     edges = pd.DataFrame({"doc_a": np.r_[a[keep], np.arange(100, 107)],
                           "doc_b": np.r_[b[keep], np.arange(101, 108)]})
     loc = graph.cluster_labels(rd.from_pandas(edges))
-    dist = graph.cluster_labels(rd.from_pandas(edges), small_threshold=0)
+    monkeypatch.setattr(graph, "SMALL_EDGES", 0)
+    dist = graph.cluster_labels(rd.from_pandas(edges))
     pd.testing.assert_frame_equal(loc, dist)
     # the appended chain 100-...-107 is one component of size 8
     assert (loc.set_index("doc_id").loc[np.arange(100, 108),
                                         "cluster_size"] == 8).all()
 
 
-def test_distributed_cc_fewer_clusters_than_partitions(ray_session):
+def test_distributed_cc_fewer_clusters_than_partitions(ray_session,
+                                                      monkeypatch):
     """One 2,000-leaf star: the closure is wide enough for several join
     partitions but has a single cluster, so a join keyed on the cluster
     set would leave partitions with only schema-less empty blocks."""
     edges = pd.DataFrame({"doc_a": np.zeros(2_000, dtype=np.int64),
                           "doc_b": np.arange(1, 2_001)})
-    out = graph.cluster_labels(rd.from_pandas(edges), small_threshold=0)
+    monkeypatch.setattr(graph, "SMALL_EDGES", 0)
+    out = graph.cluster_labels(rd.from_pandas(edges))
     assert out["doc_id"].tolist() == list(range(2_001))
     assert (out["cluster_id"] == 0).all()
     assert (out["cluster_size"] == 2_001).all()
@@ -92,8 +95,9 @@ def dup_docs_dir(tmp_path_factory, ray_session):
     return str(d)
 
 
-def test_dedup_clusters_end_to_end(dup_docs_dir):
-    cl = textops.dedup_clusters(dup_docs_dir, tau=0.5)
+def test_dedup_clusters_end_to_end(dup_docs_dir, monkeypatch):
+    monkeypatch.setattr(textops, "MINHASH_TAU", 0.5)
+    cl = textops.dedup_clusters(dup_docs_dir)
     assert cl["doc_id"].tolist() == [0, 1, 2, 10, 11]
     assert cl["cluster_id"].tolist() == [0, 0, 0, 10, 10]
     assert cl["cluster_size"].tolist() == [3, 3, 3, 2, 2]
@@ -103,7 +107,7 @@ def test_dedup_clusters_end_to_end(dup_docs_dir):
 # vocab_topk
 # ---------------------------------------------------------------------------
 
-def test_vocab_topk(tmp_path, ray_session):
+def test_vocab_topk(tmp_path, ray_session, monkeypatch):
     d = str(tmp_path)
     texts = ["Alpha beta beta GAMMA", "alpha beta  gamma\tdelta", "ALPHA"]
     df = pd.DataFrame({"doc_id": np.arange(3, dtype=np.int64),
@@ -111,7 +115,8 @@ def test_vocab_topk(tmp_path, ray_session):
                        "n_chars": [len(t) for t in texts]})
     pq.write_table(pa.Table.from_pandas(df, preserve_index=False),
                    os.path.join(d, "documents.parquet"))
-    top = textops.vocab_topk(d, k=3)
+    monkeypatch.setattr(textops, "VOCAB_K", 3)
+    top = textops.vocab_topk(d)
     # alpha 3, beta 3 (tie broken by token asc), gamma 2
     assert top["token"].tolist() == ["alpha", "beta", "gamma"]
     assert top["n"].tolist() == [3, 3, 2]
@@ -137,12 +142,14 @@ def test_vocab_topk_mg_equals_exact(ray_session):
     assert m["certified"] in (True, False)  # recorded either way
 
 
-def test_vocab_topk_mg_fallback_on_failed_certificate(ray_session):
+def test_vocab_topk_mg_fallback_on_failed_certificate(ray_session,
+                                                       monkeypatch):
     """A 3-counter budget on a flat distribution cannot certify: the
     exact fallback must kick in and still match the exact path."""
     sf = "/root/testdata/sf0.001"
     exact = textops.vocab_topk(sf)
-    mg = textops.vocab_topk_mg(sf, counters=3)
+    monkeypatch.setattr(textops, "MG_COUNTERS", 3)
+    mg = textops.vocab_topk_mg(sf)
     pd.testing.assert_frame_equal(mg, exact)
     assert textops.LAST_METRICS["vocab_topk_mg"]["certified"] is False
 
@@ -197,8 +204,9 @@ def _grams(text, n=3):
     return {" ".join(toks[i:i + n]) for i in range(max(1, len(toks) - n + 1))}
 
 
-def test_decontaminate(contam_dir):
-    rep = textops.decontaminate(contam_dir, eval_sources=("eval_src",))
+def test_decontaminate(contam_dir, monkeypatch):
+    monkeypatch.setattr(textops, "EVAL_SOURCES", ("eval_src",))
+    rep = textops.decontaminate(contam_dir)
     rep = rep.set_index("doc_id")
     assert 12 not in rep.index                       # clean doc not reported
     assert rep.loc[10, "contamination"] == 1.0       # exact copy
@@ -212,17 +220,18 @@ def test_decontaminate(contam_dir):
     assert 0 < rep.loc[11, "contamination"] < 1
 
 
-def test_decontaminate_no_eval_side(contam_dir):
-    rep = textops.decontaminate(contam_dir, eval_sources=("absent_src",))
+def test_decontaminate_no_eval_side(contam_dir, monkeypatch):
+    monkeypatch.setattr(textops, "EVAL_SOURCES", ("absent_src",))
+    rep = textops.decontaminate(contam_dir)
     assert rep.empty
 
 
-def test_decontaminate_bloom_identical(contam_dir):
+def test_decontaminate_bloom_identical(contam_dir, monkeypatch):
     """Bloom prefilter + exact verify == exact path, and the prefilter
     metrics are recorded."""
-    exact = textops.decontaminate(contam_dir, eval_sources=("eval_src",))
-    bloom = textops.decontaminate(contam_dir, eval_sources=("eval_src",),
-                                  bloom_prefilter=True)
+    monkeypatch.setattr(textops, "EVAL_SOURCES", ("eval_src",))
+    exact = textops.decontaminate(contam_dir)
+    bloom = textops.decontaminate(contam_dir, bloom_prefilter=True)
     pd.testing.assert_frame_equal(exact, bloom)
     m = textops.LAST_METRICS["decontaminate_bloom"]
     assert m["bloom_survivors"] <= m["eval_postings"]
@@ -234,9 +243,9 @@ def test_decontaminate_bloom_tiny_filter_still_exact(contam_dir,
     """Force a saturated 8-KiB Bloom (every probe passes): the verify
     join must still remove every false positive."""
     monkeypatch.setattr(textops, "BLOOM_BITS_PER_KEY", 1)
-    exact = textops.decontaminate(contam_dir, eval_sources=("eval_src",))
-    bloom = textops.decontaminate(contam_dir, eval_sources=("eval_src",),
-                                  bloom_prefilter=True)
+    monkeypatch.setattr(textops, "EVAL_SOURCES", ("eval_src",))
+    exact = textops.decontaminate(contam_dir)
+    bloom = textops.decontaminate(contam_dir, bloom_prefilter=True)
     pd.testing.assert_frame_equal(exact, bloom)
 
 
@@ -328,17 +337,22 @@ def test_corpus_redact_live_patterns(tmp_path, ray_session):
 # corpus_sample / doc_chunks / dedup_apply
 # ---------------------------------------------------------------------------
 
-def test_corpus_sample_nested_and_decorrelated(ray_session):
+def test_corpus_sample_nested_and_decorrelated(ray_session, monkeypatch):
     sf = "/root/testdata/sf0.001"
     if not os.path.exists(sf):
         pytest.skip("no driver data")
-    s_small = textops.corpus_sample(sf, rates={}, default_rate=0.2)
-    s_big = textops.corpus_sample(sf, rates={}, default_rate=0.5)
+    monkeypatch.setattr(textops, "SAMPLE_RATES", {})
+    monkeypatch.setattr(textops, "SAMPLE_DEFAULT_RATE", 0.2)
+    s_small = textops.corpus_sample(sf)
+    monkeypatch.setattr(textops, "SAMPLE_DEFAULT_RATE", 0.5)
+    s_big = textops.corpus_sample(sf)
     # nested samples: raising the rate only ADDS docs
     assert set(s_small["doc_id"]) <= set(s_big["doc_id"])
     assert 0.1 < len(s_small) / 500 < 0.3
     # per-lang override really changes only that stratum
-    s_en = textops.corpus_sample(sf, rates={"en": 0.5}, default_rate=0.2)
+    monkeypatch.setattr(textops, "SAMPLE_RATES", {"en": 0.5})
+    monkeypatch.setattr(textops, "SAMPLE_DEFAULT_RATE", 0.2)
+    s_en = textops.corpus_sample(sf)
     merged = s_en.merge(s_small, on="doc_id", how="outer", indicator=True,
                         suffixes=("", "_s"))
     only_new = merged[merged["_merge"] == "left_only"]
@@ -349,7 +363,7 @@ def test_corpus_sample_nested_and_decorrelated(ray_session):
     assert sp.loc[s_small["doc_id"]].nunique() > 1
 
 
-def test_doc_chunks_semantics(tmp_path, ray_session):
+def test_doc_chunks_semantics(tmp_path, ray_session, monkeypatch):
     d = str(tmp_path)
     texts = [" ".join(f"t{i}" for i in range(10)),   # 10 tokens -> 3 chunks @4
              "one two",                               # 1 chunk
@@ -359,7 +373,8 @@ def test_doc_chunks_semantics(tmp_path, ray_session):
                        "n_chars": [len(t) for t in texts]})
     pq.write_table(pa.Table.from_pandas(df, preserve_index=False),
                    os.path.join(d, "documents.parquet"))
-    out = textops.doc_chunks(d, chunk_tokens=4).to_pandas() \
+    monkeypatch.setattr(textops, "CHUNK_TOKENS", 4)
+    out = textops.doc_chunks(d).to_pandas() \
         .sort_values(["doc_id", "chunk_idx"]).reset_index(drop=True)
     assert out[out["doc_id"] == 0]["n_tokens"].tolist() == [4, 4, 2]
     assert out[out["doc_id"] == 0]["chunk_text"].iloc[2] == "t8 t9"
@@ -370,9 +385,10 @@ def test_doc_chunks_semantics(tmp_path, ray_session):
     assert rejoined == texts[0]
 
 
-def test_dedup_apply_consistent_with_clusters(dup_docs_dir):
-    kept = textops.dedup_apply(dup_docs_dir, tau=0.5)
-    cl = textops.dedup_clusters(dup_docs_dir, tau=0.5)
+def test_dedup_apply_consistent_with_clusters(dup_docs_dir, monkeypatch):
+    monkeypatch.setattr(textops, "MINHASH_TAU", 0.5)
+    kept = textops.dedup_apply(dup_docs_dir)
+    cl = textops.dedup_clusters(dup_docs_dir)
     dropped = set(cl.loc[cl["doc_id"] != cl["cluster_id"], "doc_id"])
     all_ids = set(range(3)) | {10, 11} | {20, 21, 22, 23}
     assert set(kept["doc_id"]) == all_ids - dropped
@@ -380,30 +396,35 @@ def test_dedup_apply_consistent_with_clusters(dup_docs_dir):
     assert set(cl["cluster_id"]) <= set(kept["doc_id"])
 
 
-def test_dedup_apply_antijoin_path_matches_broadcast(dup_docs_dir):
-    """broadcast_max=0 forces the distributed left-outer anti-join; both
-    paths must retain the identical doc set."""
-    fast = textops.dedup_apply(dup_docs_dir, tau=0.5)
-    slow = textops.dedup_apply(dup_docs_dir, tau=0.5, broadcast_max=0)
+def test_dedup_apply_antijoin_path_matches_broadcast(dup_docs_dir,
+                                                    monkeypatch):
+    """DROP_BROADCAST_MAX=0 forces the distributed left-outer anti-join;
+    both paths must retain the identical doc set."""
+    monkeypatch.setattr(textops, "MINHASH_TAU", 0.5)
+    fast = textops.dedup_apply(dup_docs_dir)
+    monkeypatch.setattr(textops, "DROP_BROADCAST_MAX", 0)
+    slow = textops.dedup_apply(dup_docs_dir)
     pd.testing.assert_frame_equal(fast, slow)
 
 
-def test_dedup_clusters_dataset_contract(dup_docs_dir):
-    ds = textops.dedup_clusters(dup_docs_dir, tau=0.5, as_dataset=True)
+def test_dedup_clusters_dataset_contract(dup_docs_dir, monkeypatch):
+    monkeypatch.setattr(textops, "MINHASH_TAU", 0.5)
+    ds = textops.dedup_clusters(dup_docs_dir, as_dataset=True)
     df = ds.to_pandas().sort_values("doc_id").reset_index(drop=True)
     pd.testing.assert_frame_equal(
-        df, textops.dedup_clusters(dup_docs_dir, tau=0.5))
+        df, textops.dedup_clusters(dup_docs_dir))
 
 
 # ---------------------------------------------------------------------------
 # top_quality_docs / tfidf_keywords
 # ---------------------------------------------------------------------------
 
-def test_top_quality_docs_rank_semantics(ray_session):
+def test_top_quality_docs_rank_semantics(ray_session, monkeypatch):
     sf = "/root/testdata/sf0.001"
     if not os.path.exists(sf):
         pytest.skip("no driver data")
-    out = textops.top_quality_docs(sf, n=3)
+    monkeypatch.setattr(textops, "TOP_QUALITY_N", 3)
+    out = textops.top_quality_docs(sf)
     assert set(out.groupby("lang")["rank"].apply(list)
                .map(tuple)) == {(1, 2, 3)}
     for _, g in out.groupby("lang"):
@@ -411,7 +432,8 @@ def test_top_quality_docs_rank_semantics(ray_session):
         assert (q[:-1] >= q[1:]).all()           # non-increasing by rank
 
 
-def test_tfidf_keywords_hapax_pruned_and_ranked(tmp_path, ray_session):
+def test_tfidf_keywords_hapax_pruned_and_ranked(tmp_path, ray_session,
+                                                monkeypatch):
     d = str(tmp_path)
     texts = ["apple banana apple cherry",
              "banana cherry cherry durian",
@@ -421,7 +443,9 @@ def test_tfidf_keywords_hapax_pruned_and_ranked(tmp_path, ray_session):
                        "n_chars": [len(t) for t in texts]})
     pq.write_table(pa.Table.from_pandas(df, preserve_index=False),
                    os.path.join(d, "documents.parquet"))
-    out = textops.tfidf_keywords(d, top=2, min_df=2)
+    monkeypatch.setattr(textops, "TFIDF_TOP", 2)
+    monkeypatch.setattr(textops, "TFIDF_MIN_DF", 2)
+    out = textops.tfidf_keywords(d)
     # hapaxes (durian df=1, unique df=1) never appear
     assert not set(out["token"]) & {"durian", "unique"}
     # doc 0: apple tf=2 idf=ln(3/2) > banana/cherry tf=1 -> apple rank 1
@@ -434,19 +458,22 @@ def test_tfidf_keywords_hapax_pruned_and_ranked(tmp_path, ray_session):
     assert (out.groupby("doc_id")["rank"].max() <= 2).all()
 
 
-def test_distributed_cc_nonconvergence_is_loud(ray_session, caplog):
-    """max_rounds too small for a chain: labels are an over-segmentation,
+def test_distributed_cc_nonconvergence_is_loud(ray_session, caplog,
+                                               monkeypatch):
+    """MAX_ROUNDS too small for a chain: labels are an over-segmentation,
     and the truncation must be surfaced (warning + LAST_INFO)."""
     import logging
     chain = pd.DataFrame({"doc_a": np.arange(0, 12),
                           "doc_b": np.arange(1, 13)})
-    with caplog.at_level(logging.WARNING, logger="osmlint.graph"):
-        graph.cluster_labels(rd.from_pandas(chain), small_threshold=0,
-                             max_rounds=1)
+    monkeypatch.setattr(graph, "SMALL_EDGES", 0)
+    with caplog.at_level(logging.WARNING, logger="osmlint.graph"), \
+            monkeypatch.context() as m:
+        m.setattr(graph, "MAX_ROUNDS", 1)
+        graph.cluster_labels(rd.from_pandas(chain))
     assert graph.LAST_INFO == {"rounds": 1, "converged": False}
     assert any("did NOT converge" in r.message for r in caplog.records)
     # and with enough rounds the same graph converges
-    out = graph.cluster_labels(rd.from_pandas(chain), small_threshold=0)
+    out = graph.cluster_labels(rd.from_pandas(chain))
     assert graph.LAST_INFO["converged"]
     assert (out["cluster_id"] == 0).all()
 
@@ -462,15 +489,17 @@ def test_negative_doc_id_rejected_loudly(tmp_path, ray_session):
         textops.minhash_dup_pairs(d)
 
 
-def test_sample_rate_one_keeps_everything(ray_session):
+def test_sample_rate_one_keeps_everything(ray_session, monkeypatch):
     sf = "/root/testdata/sf0.001"
     if not os.path.exists(sf):
         pytest.skip("no driver data")
-    s = textops.corpus_sample(sf, rates={}, default_rate=1.0)
+    monkeypatch.setattr(textops, "SAMPLE_RATES", {})
+    monkeypatch.setattr(textops, "SAMPLE_DEFAULT_RATE", 1.0)
+    s = textops.corpus_sample(sf)
     assert len(s) == 500                      # every doc retained
 
 
-def test_dedup_apply_quality_keeps_best(tmp_path, ray_session):
+def test_dedup_apply_quality_keeps_best(tmp_path, ray_session, monkeypatch):
     """The quality keeper differs from the canonical-min keeper when a
     HIGHER doc_id has higher quality: doc 1 is doc 0 plus stopword-rich
     tokens (word-3-gram Jaccard 10/15 >= 0.5, quality strictly higher),
@@ -485,9 +514,11 @@ def test_dedup_apply_quality_keeps_best(tmp_path, ray_session):
     df["n_chars"] = df["text"].str.len()
     pq.write_table(pa.Table.from_pandas(df, preserve_index=False),
                    os.path.join(d, "documents.parquet"))
-    plain = textops.dedup_apply(d, tau=0.5)
-    best = textops.dedup_apply_quality(d, tau=0.5)
+    monkeypatch.setattr(textops, "MINHASH_TAU", 0.5)
+    plain = textops.dedup_apply(d)
+    best = textops.dedup_apply_quality(d)
     assert plain["doc_id"].tolist() == [0, 5]
     assert best["doc_id"].tolist() == [1, 5]
-    forced = textops.dedup_apply_quality(d, tau=0.5, broadcast_max=0)
+    monkeypatch.setattr(textops, "DROP_BROADCAST_MAX", 0)
+    forced = textops.dedup_apply_quality(d)
     pd.testing.assert_frame_equal(best, forced)

@@ -33,30 +33,35 @@ def hot_doc_dir(tmp_path_factory, ray_session):
     return str(d)
 
 
-def test_minhash_cap_counted(hot_doc_dir):
-    full = textops.minhash_dup_pairs(hot_doc_dir, tau=0.5)
+def test_minhash_cap_counted(hot_doc_dir, monkeypatch):
+    monkeypatch.setattr(textops, "MINHASH_TAU", 0.5)
+    full = textops.minhash_dup_pairs(hot_doc_dir)
     assert textops.LAST_METRICS["dedup_minhash"] == {
         "skipped_buckets": 0, "skipped_docs": 0}
     assert len(full) == 10                       # C(5,2) identical-doc pairs
-    capped = textops.minhash_dup_pairs(hot_doc_dir, tau=0.5, cap=4)
+    monkeypatch.setattr(textops, "MAX_POSTING", 4)
+    capped = textops.minhash_dup_pairs(hot_doc_dir)
     m = textops.LAST_METRICS["dedup_minhash"]
     assert m["skipped_buckets"] > 0 and m["skipped_docs"] >= 5
     assert len(capped) < len(full)               # the cap really dropped work
 
 
-def test_ngram_cap_counted(hot_doc_dir):
-    full = textops.ngram_jaccard_pairs(hot_doc_dir, tau=0.5)
+def test_ngram_cap_counted(hot_doc_dir, monkeypatch):
+    monkeypatch.setattr(textops, "NGRAM_TAU", 0.5)
+    full = textops.ngram_jaccard_pairs(hot_doc_dir)
     assert textops.LAST_METRICS["dedup_ngram_jaccard"]["skipped_buckets"] == 0
-    capped = textops.ngram_jaccard_pairs(hot_doc_dir, tau=0.5, cap=4)
+    monkeypatch.setattr(textops, "MAX_POSTING", 4)
+    capped = textops.ngram_jaccard_pairs(hot_doc_dir)
     m = textops.LAST_METRICS["dedup_ngram_jaccard"]
     assert m["skipped_buckets"] > 0 and m["skipped_docs"] >= 5
     assert len(capped) < len(full)
 
 
-def test_simhash_cap_counted(hot_doc_dir):
+def test_simhash_cap_counted(hot_doc_dir, monkeypatch):
     full = textops.simhash_dup_pairs(hot_doc_dir)
     assert textops.LAST_METRICS["dedup_simhash"]["skipped_buckets"] == 0
-    capped = textops.simhash_dup_pairs(hot_doc_dir, cap=4)
+    monkeypatch.setattr(textops, "MAX_POSTING", 4)
+    capped = textops.simhash_dup_pairs(hot_doc_dir)
     m = textops.LAST_METRICS["dedup_simhash"]
     assert m["skipped_buckets"] > 0 and m["skipped_docs"] >= 5
     assert len(capped) < len(full)
@@ -79,19 +84,21 @@ def dense_emb_dir(tmp_path_factory, ray_session):
     return str(d)
 
 
-def test_cosine_lsh_cap_counted(dense_emb_dir):
-    full = ann.cosine_pairs_lsh(dense_emb_dir, tau=0.9, dim=16)
+def test_cosine_lsh_cap_counted(dense_emb_dir, monkeypatch):
+    monkeypatch.setattr(ann, "COS_TAU", 0.9)
+    monkeypatch.setattr(ann, "EMB_DIM", 16)
+    full = ann.cosine_pairs_lsh(dense_emb_dir)
     assert ann.LAST_METRICS["cosine_pairs_lsh"] == {
         "skipped_buckets": 0, "skipped_docs": 0}
     assert len(full) > 0
-    capped = ann.cosine_pairs_lsh(dense_emb_dir, tau=0.9, dim=16,
-                                  max_bucket=10)
+    monkeypatch.setattr(ann, "MAX_BUCKET", 10)
+    capped = ann.cosine_pairs_lsh(dense_emb_dir)
     m = ann.LAST_METRICS["cosine_pairs_lsh"]
     assert m["skipped_buckets"] > 0 and m["skipped_docs"] > 10
     assert len(capped) < len(full)
 
 
-def test_ivf_rank_never_beats_exact(dense_emb_dir):
+def test_ivf_rank_never_beats_exact(dense_emb_dir, monkeypatch):
     """Soundness bound for the rows-only IVF query (VERDICT r2 #2): IVF
     ranks each neighbor among the PROBED subset, so the count of better
     vectors it sees is a lower bound on the true count — for every
@@ -101,7 +108,9 @@ def test_ivf_rank_never_beats_exact(dense_emb_dir):
         >= its reported IVF rank — IVF can never claim a better rank
         than the exact ordering allows."""
     k = 5
-    out = ann.topk_neighbors_ivf(dense_emb_dir, k=k, n_queries=3)
+    monkeypatch.setattr(ann, "K_NEIGHBORS", k)
+    monkeypatch.setattr(ann, "N_QUERIES", 3)
+    out = ann.topk_neighbors_ivf(dense_emb_dir)
     tbl = pq.read_table(os.path.join(dense_emb_dir, "embeddings.parquet"))
     ids = np.array(tbl["vec_id"].to_pylist())
     m = np.stack([np.asarray(v, dtype=np.float64)
@@ -249,11 +258,13 @@ DRIVER_SF = "/root/testdata/sf0.01"
 
 
 @pytest.mark.skipif(not os.path.exists(DRIVER_SF), reason="no driver data")
-def test_minhash_oracle_gate_driver_tables(ray_session):
+def test_minhash_oracle_gate_driver_tables(ray_session, monkeypatch):
     """dedup_minhash's oracle is the EXACT word-3-gram Jaccard SQL at
     tau=0.5; LSH recall must therefore be exact on the driver tables."""
-    mh = textops.minhash_dup_pairs(DRIVER_SF, tau=0.5)
-    ex = textops.ngram_jaccard_pairs(DRIVER_SF, tau=0.5)
+    monkeypatch.setattr(textops, "MINHASH_TAU", 0.5)
+    monkeypatch.setattr(textops, "NGRAM_TAU", 0.5)
+    mh = textops.minhash_dup_pairs(DRIVER_SF)
+    ex = textops.ngram_jaccard_pairs(DRIVER_SF)
     pd.testing.assert_frame_equal(mh.reset_index(drop=True),
                                   ex.reset_index(drop=True))
 
@@ -262,9 +273,8 @@ def test_minhash_oracle_gate_driver_tables(ray_session):
 def test_cosine_lsh_oracle_gate_driver_tables(ray_session):
     """embedding_cosine_pairs_lsh's oracle is the exact cosine SQL; the
     multiprobe result must equal the exact result on the driver tables."""
-    from osmlint.queries import COS_TAU
-    lsh = ann.cosine_pairs_lsh(DRIVER_SF, tau=COS_TAU)
-    ex = ann.cosine_pairs(DRIVER_SF, tau=COS_TAU)
+    lsh = ann.cosine_pairs_lsh(DRIVER_SF)
+    ex = ann.cosine_pairs(DRIVER_SF)
     pd.testing.assert_frame_equal(lsh.reset_index(drop=True),
                                   ex.reset_index(drop=True))
 

@@ -69,8 +69,7 @@ def test_pair_checkpoints_skip_recompute(tmp_path, monkeypatch, ray_session):
         # the second consumer of the SAME pair set (dedup_clusters'
         # metrics_key) hits the same checkpoint and gets the counters
         # under its own key
-        ds = textops._minhash_verified_ds(SF, 0.5,
-                                          metrics_key="dedup_clusters")
+        ds = textops._minhash_verified_ds(SF, "dedup_clusters")
         assert (ds.count() if ds is not None else 0) == len(first["minhash"])
         assert textops.LAST_METRICS["dedup_clusters"] == metrics["minhash"]
 

@@ -84,8 +84,10 @@ def test_props_regex_excludes_malformed():
     assert k[0] == 7 and k[4] == -3
 
 
-def test_leakfree_join_path_matches_broadcast(ray_session, leakfree):
-    """broadcast_max=0 forces the distributed left-join remap; the
+def test_leakfree_join_path_matches_broadcast(ray_session, leakfree,
+                                              monkeypatch):
+    """DROP_BROADCAST_MAX=0 forces the distributed left-join remap; the
     assignment must be identical to the broadcast path."""
-    joined = textops.corpus_split_leakfree(SF, broadcast_max=0)
+    monkeypatch.setattr(textops, "DROP_BROADCAST_MAX", 0)
+    joined = textops.corpus_split_leakfree(SF)
     pd.testing.assert_frame_equal(joined, leakfree)

@@ -45,8 +45,9 @@ def test_exact_dedup(doc_dir):
     assert (kept.drop(100) == 1).all()
 
 
-def test_minhash_near_dup(doc_dir):
-    pairs = textops.minhash_dup_pairs(doc_dir, tau=0.5)
+def test_minhash_near_dup(doc_dir, monkeypatch):
+    monkeypatch.setattr(textops, "MINHASH_TAU", 0.5)
+    pairs = textops.minhash_dup_pairs(doc_dir)
     assert (100, 101) in set(zip(pairs.doc_a, pairs.doc_b))
     assert {(100, 102), (101, 102)} & set(zip(pairs.doc_a, pairs.doc_b))
     # exact-duplicate jaccard is 1.0
@@ -80,16 +81,18 @@ def test_text_stats_kernel(doc_dir):
     assert stats.loc[100, "stop_cnt"] >= 4       # the/and/with/a/of
 
 
-def test_ngram_jaccard_lower_tau(doc_dir):
-    pairs = textops.ngram_jaccard_pairs(doc_dir, tau=0.3)
+def test_ngram_jaccard_lower_tau(doc_dir, monkeypatch):
+    monkeypatch.setattr(textops, "NGRAM_TAU", 0.3)
+    pairs = textops.ngram_jaccard_pairs(doc_dir)
     got = set(zip(pairs.doc_a, pairs.doc_b))
     assert (100, 101) in got and (100, 102) in got
 
 
-def test_ngram_jaccard_equals_brute_force(doc_dir):
+def test_ngram_jaccard_equals_brute_force(doc_dir, monkeypatch):
     """The inverted-index candidate generation has EXACT recall: the
     operator must equal a brute-force all-pairs Jaccard on the fixture."""
-    pairs = textops.ngram_jaccard_pairs(doc_dir, tau=0.3)
+    monkeypatch.setattr(textops, "NGRAM_TAU", 0.3)
+    pairs = textops.ngram_jaccard_pairs(doc_dir)
     docs = pq.read_table(os.path.join(doc_dir, "documents.parquet")) \
         .to_pandas()
     h, off = textops._doc_shingles(docs["text"].fillna(""))
@@ -110,19 +113,22 @@ def test_ngram_jaccard_equals_brute_force(doc_dir):
     pd.testing.assert_frame_equal(pairs, exp_df)
 
 
-def test_minhash_subset_of_exact(doc_dir):
+def test_minhash_subset_of_exact(doc_dir, monkeypatch):
     """LSH banding output is always a subset of the exact tau-pair set
     (verify is exact Jaccard on the full shingle sets)."""
-    pairs = textops.minhash_dup_pairs(doc_dir, tau=0.5)
-    allp = textops.ngram_jaccard_pairs(doc_dir, tau=0.5)
+    monkeypatch.setattr(textops, "MINHASH_TAU", 0.5)
+    monkeypatch.setattr(textops, "NGRAM_TAU", 0.5)
+    pairs = textops.minhash_dup_pairs(doc_dir)
+    allp = textops.ngram_jaccard_pairs(doc_dir)
     assert set(zip(pairs.doc_a, pairs.doc_b)) <= \
         set(zip(allp.doc_a, allp.doc_b))
 
 
-def test_simhash_dup_pairs(doc_dir):
-    """Block-key bucketing finds every pair within max_hamming bits —
+def test_simhash_dup_pairs(doc_dir, monkeypatch):
+    """Block-key bucketing finds every pair within SIMHASH_MAX_HAMMING bits —
     the identical pair at hamming 0, and nothing outside the bound."""
-    pairs = textops.simhash_dup_pairs(doc_dir, max_hamming=3)
+    monkeypatch.setattr(textops, "SIMHASH_MAX_HAMMING", 3)
+    pairs = textops.simhash_dup_pairs(doc_dir)
     got = dict(zip(zip(pairs.doc_a, pairs.doc_b), pairs.hamming))
     assert got.get((100, 101)) == 0              # identical text
     # verify bound + exactness vs brute force over all simhashes
@@ -238,9 +244,9 @@ def test_unigram_logprob_signal_and_edges(tmp_path, ray_session):
     assert out.loc[0, "avg_nll"] == expect
 
 
-def test_unigram_logprob_oov_floor(tmp_path, ray_session):
-    """v=1 keeps only the top token: everything else hits the 1/N floor,
-    scoring ln(N) regardless of its true frequency."""
+def test_unigram_logprob_oov_floor(tmp_path, ray_session, monkeypatch):
+    """LOGPROB_VOCAB=1 keeps only the top token: everything else hits the
+    1/N floor, scoring ln(N) regardless of its true frequency."""
     d = str(tmp_path)
     rows = [(0, "a a a a"), (1, "b b b"), (2, "c")]
     df = pd.DataFrame(rows, columns=["doc_id", "text"])
@@ -248,7 +254,8 @@ def test_unigram_logprob_oov_floor(tmp_path, ray_session):
     df["n_chars"] = df["text"].str.len()
     pq.write_table(pa.Table.from_pandas(df, preserve_index=False),
                    os.path.join(d, "documents.parquet"))
-    out = textops.unigram_logprob(d, v=1).to_pandas().set_index("doc_id")
+    monkeypatch.setattr(textops, "LOGPROB_VOCAB", 1)
+    out = textops.unigram_logprob(d).to_pandas().set_index("doc_id")
     import math
     ln_n = math.floor(math.log(8) * 1e6 + 0.5) / 1e6
     assert out.loc[1, "avg_nll"] == ln_n     # OOV b: count floor 1
@@ -368,10 +375,11 @@ def test_dup_spans_semantics(span_dir):
     assert not set(df.doc_id) & {3, 4}
 
 
-def test_dup_spans_join_path_equality(span_dir):
-    # broadcast_max=0 forces the distributed-join fallback
+def test_dup_spans_join_path_equality(span_dir, monkeypatch):
+    # DUPSPAN_BROADCAST_MAX=0 forces the distributed-join fallback
     a = _spans_df(textops.dup_spans(span_dir))
-    b = _spans_df(textops.dup_spans(span_dir, broadcast_max=0))
+    monkeypatch.setattr(textops, "DUPSPAN_BROADCAST_MAX", 0)
+    b = _spans_df(textops.dup_spans(span_dir))
     pd.testing.assert_frame_equal(a, b)
 
 
@@ -417,8 +425,10 @@ def pmi_dir(tmp_path_factory, ray_session):
     return str(d)
 
 
-def test_pmi_bigrams_collocation_signal(pmi_dir):
-    df = textops.pmi_bigrams(pmi_dir, top=10, min_cnt=3)
+def test_pmi_bigrams_collocation_signal(pmi_dir, monkeypatch):
+    monkeypatch.setattr(textops, "PMI_TOP", 10)
+    monkeypatch.setattr(textops, "PMI_MIN_CNT", 3)
+    df = textops.pmi_bigrams(pmi_dir)
     assert list(df.columns) == ["w1", "w2", "cnt", "pmi", "rank"]
     top = df.set_index(["w1", "w2"])
     assert ("new", "york") in top.index
@@ -442,11 +452,15 @@ def test_pmi_bigrams_collocation_signal(pmi_dir):
     assert list(df["rank"]) == list(range(1, len(df) + 1))
 
 
-def test_pmi_bigrams_min_count_floor(pmi_dir):
-    df = textops.pmi_bigrams(pmi_dir, top=50, min_cnt=3)
+def test_pmi_bigrams_min_count_floor(pmi_dir, monkeypatch):
+    monkeypatch.setattr(textops, "PMI_TOP", 50)
+    monkeypatch.setattr(textops, "PMI_MIN_CNT", 3)
+    df = textops.pmi_bigrams(pmi_dir)
     assert (df["cnt"] >= 3).all()
     # no bigram clears a support floor above the max count
-    assert textops.pmi_bigrams(pmi_dir, top=10, min_cnt=99).empty
+    monkeypatch.setattr(textops, "PMI_TOP", 10)
+    monkeypatch.setattr(textops, "PMI_MIN_CNT", 99)
+    assert textops.pmi_bigrams(pmi_dir).empty
 
 
 def test_pmi_bigrams_matches_duckdb_oracle(pmi_dir):
@@ -469,8 +483,9 @@ def test_pmi_bigrams_matches_duckdb_oracle(pmi_dir):
 # quality_percentile_filter + distinct_token_counts
 # ---------------------------------------------------------------------------
 
-def test_quality_percentile_filter_keeps_top_fraction(doc_dir):
-    kept = textops.quality_percentile_filter(doc_dir, keep_frac=0.25) \
+def test_quality_percentile_filter_keeps_top_fraction(doc_dir, monkeypatch):
+    monkeypatch.setattr(textops, "QUALITY_KEEP_FRAC", 0.25)
+    kept = textops.quality_percentile_filter(doc_dir) \
         .to_pandas()
     stats = textops.text_stats(doc_dir).to_pandas()
     docs = pd.read_parquet(os.path.join(doc_dir, "documents.parquet"))
@@ -489,7 +504,8 @@ def test_quality_percentile_filter_keeps_top_fraction(doc_dir):
     assert np.allclose(m["quality_r"], m["qbin"] / 1e4)
 
 
-def test_quality_percentile_filter_tie_semantics(tmp_path, ray_session):
+def test_quality_percentile_filter_tie_semantics(tmp_path, ray_session,
+                                                 monkeypatch):
     # every doc identical => all tie at the threshold => ALL kept
     d = tmp_path / "ties"
     d.mkdir()
@@ -499,7 +515,8 @@ def test_quality_percentile_filter_tie_semantics(tmp_path, ray_session):
                        "n_chars": [17] * 8})
     pq.write_table(pa.Table.from_pandas(df, preserve_index=False),
                    str(d / "documents.parquet"))
-    kept = textops.quality_percentile_filter(str(d), keep_frac=0.25) \
+    monkeypatch.setattr(textops, "QUALITY_KEEP_FRAC", 0.25)
+    kept = textops.quality_percentile_filter(str(d)) \
         .to_pandas()
     assert set(kept["doc_id"]) == set(range(8))
 
@@ -586,7 +603,7 @@ def test_token_entropy_signals(tmp_path, ray_session):
     assert out.loc[3, "n_tokens"] == 0 and out.loc[3, "entropy"] == 0.0
 
 
-def test_corpus_mix_shares_and_determinism(tmp_path, ray_session):
+def test_corpus_mix_shares_and_determinism(tmp_path, ray_session, monkeypatch):
     d = tmp_path / "mix"
     d.mkdir()
     rows = []
@@ -600,18 +617,20 @@ def test_corpus_mix_shares_and_determinism(tmp_path, ray_session):
     pq.write_table(pa.Table.from_pandas(df, preserve_index=False),
                    str(d / "documents.parquet"))
     # target 1:1:1 over (300, 100, 100) docs: T = 100, rates a=1/3 b=c=1
-    out = textops.corpus_mix(str(d), weights={}, default_w=1.0).to_pandas()
+    monkeypatch.setattr(textops, "MIX_WEIGHTS", {})
+    monkeypatch.setattr(textops, "MIX_DEFAULT_WEIGHT", 1.0)
+    out = textops.corpus_mix(str(d)).to_pandas()
     by = out.groupby("source").size()
     assert by["b"] == 100 and by["c"] == 100       # rate 1 keeps everything
     assert abs(by["a"] - 100) < 35                 # hash-sampled ~1/3
     # deterministic
-    out2 = textops.corpus_mix(str(d), weights={}, default_w=1.0).to_pandas()
+    out2 = textops.corpus_mix(str(d)).to_pandas()
     pd.testing.assert_frame_equal(
         out.sort_values("doc_id").reset_index(drop=True),
         out2.sort_values("doc_id").reset_index(drop=True))
     # upweighting a source keeps MORE of it (nested thresholds)
-    out3 = textops.corpus_mix(str(d), weights={"a": 2.0},
-                              default_w=1.0).to_pandas()
+    monkeypatch.setattr(textops, "MIX_WEIGHTS", {"a": 2.0})
+    out3 = textops.corpus_mix(str(d)).to_pandas()
     a3 = set(out3[out3["source"] == "a"]["doc_id"])
     a1 = set(out[out["source"] == "a"]["doc_id"])
     assert a1 <= a3 and len(a3) > len(a1)
@@ -694,7 +713,8 @@ def test_pack_sequences_semantics(tmp_path, ray_session):
     assert (fills <= textops.PACK_BUDGET).all()
 
 
-def test_pack_sequences_oversize_chunk_rides_alone(tmp_path, ray_session):
+def test_pack_sequences_oversize_chunk_rides_alone(tmp_path, ray_session,
+                                                   monkeypatch):
     d = tmp_path / "pack2"
     d.mkdir()
     df = pd.DataFrame([(0, " ".join(f"t{i}" for i in range(128)),
@@ -704,14 +724,16 @@ def test_pack_sequences_oversize_chunk_rides_alone(tmp_path, ray_session):
     pq.write_table(pa.Table.from_pandas(df, preserve_index=False),
                    str(d / "documents.parquet"))
     # budget below the chunk size: every chunk becomes its own sequence
-    out = textops.pack_sequences(str(d), budget=32).to_pandas() \
+    monkeypatch.setattr(textops, "PACK_BUDGET", 32)
+    out = textops.pack_sequences(str(d)).to_pandas() \
         .sort_values("chunk_idx")
     assert list(out["seq_id"]) == [1, 2]
 
 
-def test_winnow_dup_pairs_copy_detection(doc_dir):
+def test_winnow_dup_pairs_copy_detection(doc_dir, monkeypatch):
     # doc_dir: 100/101 exact dups, 102 near-dup (1 word), 103 unrelated
-    pairs = textops.winnow_dup_pairs(doc_dir, tau=0.5)
+    monkeypatch.setattr(textops, "WINNOW_PAIR_TAU", 0.5)
+    pairs = textops.winnow_dup_pairs(doc_dir)
     got = set(zip(pairs.doc_a, pairs.doc_b))
     assert (100, 101) in got
     j = pairs.set_index(["doc_a", "doc_b"])["fp_jaccard"]
@@ -723,16 +745,18 @@ def test_winnow_dup_pairs_copy_detection(doc_dir):
     assert 103 not in set(pairs.doc_a) | set(pairs.doc_b)
 
 
-def test_winnow_dup_pairs_cap_counted(doc_dir):
-    textops.winnow_dup_pairs(doc_dir, tau=0.5)
+def test_winnow_dup_pairs_cap_counted(doc_dir, monkeypatch):
+    monkeypatch.setattr(textops, "WINNOW_PAIR_TAU", 0.5)
+    textops.winnow_dup_pairs(doc_dir)
     assert textops.LAST_METRICS["winnow_dup_pairs"] == {
         "skipped_buckets": 0, "skipped_docs": 0}
-    capped = textops.winnow_dup_pairs(doc_dir, tau=0.5, cap=2)
+    monkeypatch.setattr(textops, "MAX_POSTING", 2)
+    capped = textops.winnow_dup_pairs(doc_dir)
     m = textops.LAST_METRICS["winnow_dup_pairs"]
     assert m["skipped_buckets"] > 0
 
 
-def test_bm25_topk_hand_computed(tmp_path, ray_session):
+def test_bm25_topk_hand_computed(tmp_path, ray_session, monkeypatch):
     """BM25 against a 3-doc corpus small enough to score by hand:
     higher tf wins, longer docs are penalized, absent-term docs drop."""
     import numpy as np
@@ -745,7 +769,9 @@ def test_bm25_topk_hand_computed(tmp_path, ray_session):
         "lang": "en", "source": "s", "n_chars": 1})
     pq.write_table(pa.Table.from_pandas(docs, preserve_index=False),
                    os.path.join(d, "documents.parquet"))
-    out = textops.bm25_topk(d, queries={7: ("apple",)}, top=5)
+    monkeypatch.setattr(textops, "BM25_QUERIES", {7: ("apple",)})
+    monkeypatch.setattr(textops, "BM25_TOP", 5)
+    out = textops.bm25_topk(d)
     # only the two docs containing 'apple' appear, tf=2/dl=3 first
     assert list(out["query_id"].unique()) == [7]
     assert list(out["doc_id"]) == [0, 1]
@@ -762,7 +788,7 @@ def test_bm25_topk_hand_computed(tmp_path, ray_session):
     assert out["score"].iloc[1] == s(1, 6)
 
 
-def test_bm25_topk_tie_and_k_cut(tmp_path, ray_session):
+def test_bm25_topk_tie_and_k_cut(tmp_path, ray_session, monkeypatch):
     """Identical docs tie on score and break doc_id asc; top cuts."""
     d = str(tmp_path)
     docs = pd.DataFrame({
@@ -771,12 +797,14 @@ def test_bm25_topk_tie_and_k_cut(tmp_path, ray_session):
         "lang": "en", "source": "s", "n_chars": 1})
     pq.write_table(pa.Table.from_pandas(docs, preserve_index=False),
                    os.path.join(d, "documents.parquet"))
-    out = textops.bm25_topk(d, queries={0: ("x",)}, top=3)
+    monkeypatch.setattr(textops, "BM25_QUERIES", {0: ("x",)})
+    monkeypatch.setattr(textops, "BM25_TOP", 3)
+    out = textops.bm25_topk(d)
     assert list(out["doc_id"]) == [1, 3, 5]
     assert out["score"].nunique() == 1
 
 
-def test_corpus_weighted_sample_brute_force(ray_session):
+def test_corpus_weighted_sample_brute_force(ray_session, monkeypatch):
     """The distributed per-block top-k merge equals the brute-force
     priority ranking computed in one flat pass; k > n returns all."""
     import hashlib
@@ -790,10 +818,12 @@ def test_corpus_weighted_sample_brute_force(ray_session):
                     for i in docs["doc_id"]], dtype=np.float64)
     skey = np.floor(np.log((u32 + 1) / 2**32) / w * 1e6 + 0.5) / 1e6
     order = np.lexsort((docs["doc_id"].to_numpy(), -skey))
-    out = textops.corpus_weighted_sample(sf, k=20)
+    monkeypatch.setattr(textops, "WEIGHTED_SAMPLE_K", 20)
+    out = textops.corpus_weighted_sample(sf)
     assert list(out["doc_id"]) == list(docs["doc_id"].to_numpy()[order][:20])
     assert list(out["rank"]) == list(range(1, 21))
-    everything = textops.corpus_weighted_sample(sf, k=10**9)
+    monkeypatch.setattr(textops, "WEIGHTED_SAMPLE_K", 10**9)
+    everything = textops.corpus_weighted_sample(sf)
     assert len(everything) == len(docs)
 
 
@@ -817,7 +847,7 @@ def test_q_compact_weight_exact_and_bound():
     assert int(w3.sum()) == 50_000
 
 
-def test_quality_quantiles_sketch_certificate(ray_session):
+def test_quality_quantiles_sketch_certificate(ray_session, monkeypatch):
     """Driver-scale run: certificate reports NO compaction and the
     result is deterministic across runs; forcing a tiny cap flips the
     certificate and every quantile stays within the rank bound of the
@@ -828,6 +858,7 @@ def test_quality_quantiles_sketch_certificate(ray_session):
         "compacted"] is False
     b = textops.quality_quantiles_sketch(sf)
     pd.testing.assert_frame_equal(a, b)
+    monkeypatch.setattr(textops, "SKETCH_EXACT_FALLBACK", False)
     forced = textops.quality_quantiles_sketch(sf, cap=8)
     assert textops.LAST_METRICS["quality_quantiles_sketch"][
         "compacted"] is True

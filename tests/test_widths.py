@@ -114,14 +114,18 @@ def _sorted(df: pd.DataFrame) -> pd.DataFrame:
 
 def test_results_do_not_depend_on_width(flags_ds, dup_corpus, monkeypatch):
     edges = rd.from_pandas(_stars()).repartition(8)
+    monkeypatch.setattr(textops, "DROP_BROADCAST_MAX", 0)
     out = {}
     for n_cpus in (1, 32):
         monkeypatch.setattr(widths, "cpus", lambda n=n_cpus: n)
+        with monkeypatch.context() as m:
+            m.setattr(graph, "SMALL_EDGES", 0)
+            labels = graph.cluster_labels(edges)
         out[n_cpus] = (
             pipeline.summary_per_map(flags_ds),
             _sorted(pipeline.merge_overall(flags_ds).to_pandas()),
-            graph.cluster_labels(edges, small_threshold=0),
-            textops.dedup_apply(dup_corpus, broadcast_max=0),
+            labels,
+            textops.dedup_apply(dup_corpus),
             (widths.shuffle_blocks(), widths.join_partitions(2 * 750, 256),
              widths.join_partitions(1_600, 256)))
     narrow, wide = out[1], out[32]
