@@ -849,7 +849,8 @@ def dedup_cosine_clusters(sf_dir: str) -> pd.DataFrame:
     Pair mining is ``cosine_pairs_lsh`` (payload-free band shuffle +
     exact-cosine verify), so the pair set equals the exact SQL at gate
     scale (seed-pinned, same caveat as ``embedding_cosine_pairs_lsh``);
-    the oracle is a recursive CTE over the exact cosine pair SQL."""
+    the oracle is ``oracle_sql.components_ctes`` over the exact cosine
+    pair SQL."""
     from . import graph
     pairs = cosine_pairs_lsh(sf_dir)
     if pairs.empty:

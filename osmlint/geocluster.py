@@ -47,10 +47,11 @@ Ray-Data-idiomatic shape — no all-pairs, no driver loops:
    against the core labels + a bucketed min reduce;
 7. cluster sizes: a bounded bucket count + one join back.
 
-Oracle: the same pairs / degree / closure in DuckDB — the closure as a
-fixed-round alternating min-propagation + pointer-jump CTE chain
-(``oracle_sql.geo_clusters_sql``), the same algorithm as the engine's
-local closure, with rounds >= 1.6x the measured convergence point.
+Oracle: the same pairs / degree / closure in DuckDB
+(``oracle_sql.geo_clusters_sql``) — the closure is
+``oracle_sql.components_ctes``, the engine's alternating min-propagation
++ pointer-jump rounds as one recursive CTE that stops after the first
+round that changes no label.
 """
 
 from __future__ import annotations

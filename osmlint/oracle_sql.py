@@ -67,6 +67,40 @@ def haversine_sql(lat1: str, lon1: str, lat2: str, lon2: str) -> str:
     return f"(2.0*6371.0*asin(sqrt({d})))"
 
 
+def components_ctes(edges: str, nodes: str | None = None) -> str:
+    """CTEs for a ``WITH RECURSIVE`` head ending in ``labels(node, l)``:
+    each node's connected-component label, the minimum node id of its
+    component.  ``edges`` is a query whose first two columns are an
+    undirected edge; ``nodes`` a one-column query of the node set
+    (default: the edge endpoints — pass it when isolated nodes count).
+
+    Each recursive step of ``cc`` is one round: propagate the minimum
+    label over the closed neighbourhood (``p``, computed once, read
+    twice), then pointer-jump (l := p[p[node]]).  A step emits no rows
+    once the round before it changed no label, so the last round
+    certifies the fixpoint.  Labels never grow, so a node's final label
+    is its minimum over all rounds.  ``ebi`` stays MATERIALIZED: inlined,
+    DuckDB re-runs the edge query (a pair mine) in every round."""
+    nodes = nodes or "SELECT DISTINCT src FROM ebi"
+    return f"""
+ebi AS MATERIALIZED (
+  SELECT unnest([a, b]) AS src, unnest([b, a]) AS dst
+  FROM ({edges}) e(a, b)),
+cc(node, l, changed) AS (
+  SELECT node, node, TRUE FROM ({nodes}) n(node)
+  UNION ALL
+  SELECT * FROM (
+    WITH prev AS (SELECT node, l FROM cc
+                  WHERE (SELECT bool_or(changed) FROM cc)),
+    p AS MATERIALIZED (
+      SELECT x.node, min(x.l) AS l FROM (
+        SELECT e.dst AS node, c.l FROM ebi e JOIN prev c ON c.node = e.src
+        UNION ALL SELECT node, l FROM prev) x GROUP BY x.node)
+    SELECT c.node, b.l, b.l <> c.l
+    FROM prev c JOIN p a ON a.node = c.node JOIN p b ON b.node = a.l)),
+labels AS MATERIALIZED (SELECT node, min(l) AS l FROM cc GROUP BY node)"""
+
+
 # ---------------------------------------------------------------------------
 # base CTEs over the synthetic data directory
 # ---------------------------------------------------------------------------
@@ -1068,26 +1102,15 @@ ORDER BY doc_a, doc_b"""
 # ---------------------------------------------------------------------------
 
 def dedup_clusters_sql(tau: float) -> str:
-    """Connected components over the exact word-3-gram Jaccard pair set:
-    recursive min-label closure (DuckDB UNION-recursive CTE keeps the
-    visited set, so the closure terminates), then a window count for the
-    per-cluster size — the independent check on the Ray side's iterated
-    label propagation."""
+    """Connected components over the exact word-3-gram Jaccard pair set
+    (``components_ctes``), then a window count for the per-cluster size
+    — the independent check on the Ray side's iterated label
+    propagation."""
     return f"""
-WITH RECURSIVE pairs AS ({ngram_jaccard_sql(tau)}),
-edges AS (SELECT doc_a AS a, doc_b AS b FROM pairs),
-nodes AS (SELECT a AS n FROM edges UNION SELECT b AS n FROM edges),
-cc(n, l) AS (
-  SELECT n, n FROM nodes
-  UNION
-  SELECT CASE WHEN e.a = cc.n THEN e.b ELSE e.a END AS n, cc.l AS l
-  FROM cc JOIN edges e ON e.a = cc.n OR e.b = cc.n
-),
-lab AS (SELECT n AS doc_id, MIN(l) AS cluster_id FROM cc GROUP BY n)
-SELECT doc_id, cluster_id,
-       CAST(count(*) OVER (PARTITION BY cluster_id) AS BIGINT)
-           AS cluster_size
-FROM lab ORDER BY doc_id"""
+WITH RECURSIVE {components_ctes(ngram_jaccard_sql(tau))}
+SELECT node AS doc_id, l AS cluster_id,
+       CAST(count(*) OVER (PARTITION BY l) AS BIGINT) AS cluster_size
+FROM labels ORDER BY doc_id"""
 
 
 def vocab_topk_sql(k: int) -> str:
@@ -1361,8 +1384,8 @@ ORDER BY doc_id, chunk_idx"""
 
 def dedup_apply_sql(tau: float) -> str:
     """Retained corpus after near-dup clustering: drop every cluster
-    member except the canonical minimum (clusters from the recursive CC
-    closure over the exact pair SQL)."""
+    member except the canonical minimum (clusters from
+    ``dedup_clusters_sql``)."""
     return f"""
 WITH clusters AS ({dedup_clusters_sql(tau)})
 SELECT d.doc_id FROM documents d
@@ -2330,14 +2353,16 @@ WHERE rn <= {k} ORDER BY query_id, rank"""
 # geo_clusters oracle (DBSCAN over named-CTV points)
 # ---------------------------------------------------------------------------
 
-def _geo_clusters_members_with(d: str, eps_km: float, min_pts: int,
-                               rounds: int) -> str:
+def _geo_clusters_members_with(d: str, eps_km: float, min_pts: int) -> str:
     """Shared WITH-body through the ``members``/``named`` CTEs —
     ``geo_clusters_sql`` decodes members, ``geo_cluster_stats_sql``
     aggregates them per cluster."""
     hav = haversine_sql("a.lat", "a.lon", "b.lat", "b.lon")
     band = eps_km / 111.0
-    parts = [f"""
+    closure = components_ctes("""SELECT na, nb FROM pairs
+  WHERE na IN (SELECT node FROM core) AND nb IN (SELECT node FROM core)""",
+                              "SELECT node FROM core")
+    return f"""WITH RECURSIVE
 flat AS (SELECT * FROM read_parquet({q(d + '/flat.parquet')})),
 named AS (
   SELECT osm_id*4 + CASE entity_type WHEN 'node' THEN 0
@@ -2357,21 +2382,7 @@ deg AS (SELECT node, count(*) AS c FROM
         (SELECT na AS node FROM pairs UNION ALL SELECT nb FROM pairs)
         GROUP BY 1),
 core AS MATERIALIZED (SELECT node FROM deg WHERE c >= {min_pts - 1}),
-cpairs AS (SELECT na, nb FROM pairs
-           WHERE na IN (SELECT node FROM core)
-             AND nb IN (SELECT node FROM core)),
-ebi AS (SELECT na AS src, nb AS dst FROM cpairs
-        UNION ALL SELECT nb, na FROM cpairs),
-lab0 AS (SELECT node, node AS l FROM core)"""]
-    for t in range(1, rounds + 1):
-        parts.append(f"""
-p{t} AS MATERIALIZED (SELECT x.node AS node, min(x.l) AS l FROM (
-    SELECT e.dst AS node, j.l FROM ebi e JOIN lab{t - 1} j
-      ON j.node = e.src
-    UNION ALL SELECT node, l FROM lab{t - 1}) x GROUP BY x.node),
-lab{t} AS MATERIALIZED (SELECT a.node AS node, b.l AS l
-    FROM p{t} a JOIN p{t} b ON b.node = a.l)""")
-    parts.append(f"""
+{closure},
 mixed AS (
   SELECT nb AS x, na AS c FROM pairs
   WHERE na IN (SELECT node FROM core)
@@ -2381,12 +2392,10 @@ mixed AS (
   WHERE nb IN (SELECT node FROM core)
     AND na NOT IN (SELECT node FROM core)),
 border AS (SELECT m.x AS node, min(j.l) AS cl FROM mixed m
-           JOIN lab{rounds} j ON j.node = m.c GROUP BY m.x),
-members AS (SELECT node, l AS cluster_id, TRUE AS is_core
-            FROM lab{rounds}
+           JOIN labels j ON j.node = m.c GROUP BY m.x),
+members AS (SELECT node, l AS cluster_id, TRUE AS is_core FROM labels
             UNION ALL
-            SELECT node, cl AS cluster_id, FALSE AS is_core FROM border)""")
-    return "WITH " + ",".join(parts)
+            SELECT node, cl AS cluster_id, FALSE AS is_core FROM border)"""
 
 
 def geo_clusters_sql(d: str, eps_km: float, min_pts: int,
@@ -2394,16 +2403,11 @@ def geo_clusters_sql(d: str, eps_km: float, min_pts: int,
     """DBSCAN: eps-pairs via a lat-band IEJoin prefilter (|dlat deg| <=
     eps/111.0 is a strict superset of hav <= eps, since 1 deg lat >=
     111.195 km) + exact haversine gate; degree -> core set; connected
-    components of the core-core graph as a FIXED-ROUND alternating
-    min-propagation + pointer-jump CTE chain (AS MATERIALIZED breaks the
-    exponential CTE-inlining blowup; ``rounds`` = 48 vs a measured 29 to
-    converge at sf0.01 and 34 at sf0.1 (53,573 cores / 324 clusters) —
-    growth is sub-linear in scale because the jump step halves chain
-    depth, extra rounds past convergence are no-ops, and the in-repo
-    parity tests pin agreement at both gate scales); border
+    components of the core-core graph (``components_ctes``); border
     points take the MINIMUM core-neighbor label (the deterministic
     variant the engine implements)."""
-    return _geo_clusters_members_with(d, eps_km, min_pts, rounds) + """
+    # ``rounds`` is ignored: the closure stops at its own fixpoint
+    return _geo_clusters_members_with(d, eps_km, min_pts) + """
 SELECT CAST(node // 4 AS BIGINT) AS osm_id,
        CASE node % 4 WHEN 0 THEN 'node' WHEN 1 THEN 'way'
             ELSE 'relation' END AS entity_type,
@@ -2413,34 +2417,37 @@ SELECT CAST(node // 4 AS BIGINT) AS osm_id,
 FROM members ORDER BY osm_id, entity_type"""
 
 
-def geo_cluster_stats_sql(d: str, eps_km: float, min_pts: int,
-                          rounds: int = 48) -> str:
+def geo_cluster_stats_sql(d: str, eps_km: float, min_pts: int) -> str:
     """Per-cluster aggregation of the DBSCAN members: point/core counts,
     exact bounding box (min/max pass coordinates through untouched) and
     the centroid as sum/count mirrored against the engine's moment
-    reduce, 6-dp floor-rounded."""
-    return _geo_clusters_members_with(d, eps_km, min_pts, rounds) + """
+    reduce, 6-dp floor-rounded.  The sums are Kahan-compensated in
+    member-node order (``fsum ... ORDER BY``), like the engine's pandas
+    groupby sum: a plain double sum follows whatever row order the join
+    delivers, and a mean on a 6-dp half-way point flips with it."""
+    return _geo_clusters_members_with(d, eps_km, min_pts) + """
 SELECT m.cluster_id,
        CAST(count(*) AS BIGINT) AS n_points,
        CAST(sum(CASE WHEN m.is_core THEN 1 ELSE 0 END) AS BIGINT)
            AS n_core,
-       floor(sum(p.lat) / count(*) * 1e6 + 0.5) / 1e6 AS centroid_lat,
-       floor(sum(p.lon) / count(*) * 1e6 + 0.5) / 1e6 AS centroid_lon,
+       floor(fsum(p.lat ORDER BY m.node) / count(*) * 1e6 + 0.5)
+           / 1e6 AS centroid_lat,
+       floor(fsum(p.lon ORDER BY m.node) / count(*) * 1e6 + 0.5)
+           / 1e6 AS centroid_lon,
        min(p.lat) AS lat_min, max(p.lat) AS lat_max,
        min(p.lon) AS lon_min, max(p.lon) AS lon_max
 FROM members m JOIN named p ON p.node = m.node
 GROUP BY 1 ORDER BY 1"""
 
 
-def geo_cluster_diameter_sql(d: str, eps_km: float, min_pts: int,
-                             rounds: int = 48) -> str:
+def geo_cluster_diameter_sql(d: str, eps_km: float, min_pts: int) -> str:
     """Exact per-cluster diameter: within-cluster self-join (node_a <
     node_b), haversine 6-dp floor-rounded BEFORE the argmax (so ties
     are well-defined across engines), winner by row_number over
     (dist DESC, node_a, node_b) — the engine's lexicographic
     tie-break."""
     hav = haversine_sql("pa.lat", "pa.lon", "pb.lat", "pb.lon")
-    return _geo_clusters_members_with(d, eps_km, min_pts, rounds) + f""",
+    return _geo_clusters_members_with(d, eps_km, min_pts) + f""",
 dpairs AS (
   SELECT m1.cluster_id,
          floor({hav} * 1e6 + 0.5) / 1e6 AS dist,
@@ -2512,68 +2519,43 @@ FROM base GROUP BY 2""" for r in (res, res - 1, res - 2)]
             + "\nORDER BY res, cell_id")
 
 
-def raster_polygonize_sql(d: str, res: int, k: int,
-                          rounds: int = 24) -> str:
+def raster_polygonize_sql(d: str, res: int, k: int) -> str:
     """4-connected regions of the above-threshold band cells:
     exact-integer threshold (density * n_occupied >= k * total),
-    grid-step edges, and the same fixed-round alternating
-    min-propagation + pointer-jump CTE chain as ``geo_clusters_sql``
-    (rounds = 24 vs a measured <=4 to converge at sf0.001-0.1 — the
-    hotspot regions over the fixed extent stay tens of cells at every
-    scale, and the jump step halves chain depth, so 24 is a >=6x
-    margin; extra rounds are no-ops)."""
+    grid-step edges, and the connected components of
+    ``components_ctes``."""
     n = 1 << res
-    parts = [f"""{base_ctes(d)},
+    closure = components_ctes(f"""
+  SELECT a.cell, b.cell FROM sel a
+  JOIN sel b ON b.cell = a.cell + 1 WHERE a.cell % {n} <> {n - 1}
+  UNION ALL
+  SELECT a.cell, b.cell FROM sel a JOIN sel b ON b.cell = a.cell + {n}""",
+                              "SELECT cell FROM sel")
+    return f"""WITH RECURSIVE {base_ctes(d)},
 band AS (SELECT {cell_sql(res)} AS cell, CAST(count(*) AS BIGINT)
              AS density FROM base GROUP BY 1),
 tot AS (SELECT sum(density) AS total, count(*) AS m FROM band),
 sel AS MATERIALIZED (SELECT b.cell, b.density FROM band b, tot
                      WHERE b.density * tot.m >= {k} * tot.total),
-edges AS (
-  SELECT a.cell AS src, b.cell AS dst FROM sel a
-  JOIN sel b ON b.cell = a.cell + 1 WHERE a.cell % {n} <> {n - 1}
-  UNION ALL
-  SELECT a.cell, b.cell FROM sel a JOIN sel b ON b.cell = a.cell + {n}),
-ebi AS (SELECT src, dst FROM edges UNION ALL SELECT dst, src FROM edges),
-lab0 AS (SELECT cell AS node, cell AS l FROM sel)"""]
-    for t in range(1, rounds + 1):
-        parts.append(f"""
-p{t} AS MATERIALIZED (SELECT x.node AS node, min(x.l) AS l FROM (
-    SELECT e.dst AS node, j.l FROM ebi e JOIN lab{t - 1} j
-      ON j.node = e.src
-    UNION ALL SELECT node, l FROM lab{t - 1}) x GROUP BY x.node),
-lab{t} AS MATERIALIZED (SELECT a.node AS node, b.l AS l
-    FROM p{t} a JOIN p{t} b ON b.node = a.l)""")
-    return "WITH " + ",".join(parts) + f"""
+{closure}
 SELECT j.l AS region_id, CAST(count(*) AS BIGINT) AS n_cells,
        CAST(sum(s.density) AS BIGINT) AS total_density,
        CAST(min(s.cell % {n}) AS BIGINT) AS ix_min,
        CAST(max(s.cell % {n}) AS BIGINT) AS ix_max,
        CAST(min(s.cell // {n}) AS BIGINT) AS iy_min,
        CAST(max(s.cell // {n}) AS BIGINT) AS iy_max
-FROM lab{rounds} j JOIN sel s ON s.cell = j.node
+FROM labels j JOIN sel s ON s.cell = j.node
 GROUP BY 1 ORDER BY 1"""
 
 
 def dedup_cosine_clusters_sql(tau: float) -> str:
-    """Connected components over the exact cosine pair set (recursive
-    min-label closure — near-dup clusters are small, so the walk-based
-    CTE stays cheap here, unlike geo_clusters' giant components)."""
+    """Connected components over the exact cosine pair set
+    (``components_ctes``)."""
     return f"""
-WITH RECURSIVE pairs AS ({cosine_pairs_sql(tau)}),
-edges AS (SELECT vec_a AS a, vec_b AS b FROM pairs),
-nodes AS (SELECT a AS n FROM edges UNION SELECT b AS n FROM edges),
-cc(n, l) AS (
-  SELECT n, n FROM nodes
-  UNION
-  SELECT CASE WHEN e.a = cc.n THEN e.b ELSE e.a END AS n, cc.l AS l
-  FROM cc JOIN edges e ON e.a = cc.n OR e.b = cc.n
-),
-lab AS (SELECT n AS vec_id, MIN(l) AS cluster_id FROM cc GROUP BY n)
-SELECT vec_id, cluster_id,
-       CAST(count(*) OVER (PARTITION BY cluster_id) AS BIGINT)
-           AS cluster_size
-FROM lab ORDER BY vec_id"""
+WITH RECURSIVE {components_ctes(cosine_pairs_sql(tau))}
+SELECT node AS vec_id, l AS cluster_id,
+       CAST(count(*) OVER (PARTITION BY l) AS BIGINT) AS cluster_size
+FROM labels ORDER BY vec_id"""
 
 
 def embedding_project_sql(r) -> str:
@@ -2965,24 +2947,15 @@ GROUP BY event_type ORDER BY event_type"""
 
 def corpus_split_leakfree_sql(tau: float, train_hex: str,
                               val_hex: str) -> str:
-    """Cluster-aware split: the ``dedup_clusters_sql`` recursive
-    min-label closure supplies each clustered doc's representative; the
-    split key is coalesce(rep, doc_id) pushed through the identical
-    md5-hex thresholds as ``corpus_split_sql``."""
+    """Cluster-aware split: the ``dedup_clusters_sql`` components supply
+    each clustered doc's representative; the split key is
+    coalesce(rep, doc_id) pushed through the identical md5-hex
+    thresholds as ``corpus_split_sql``."""
     return f"""
-WITH RECURSIVE pairs AS ({ngram_jaccard_sql(tau)}),
-edges AS (SELECT doc_a AS a, doc_b AS b FROM pairs),
-nodes AS (SELECT a AS n FROM edges UNION SELECT b AS n FROM edges),
-cc(n, l) AS (
-  SELECT n, n FROM nodes
-  UNION
-  SELECT CASE WHEN e.a = cc.n THEN e.b ELSE e.a END AS n, cc.l AS l
-  FROM cc JOIN edges e ON e.a = cc.n OR e.b = cc.n
-),
-lab AS (SELECT n AS doc_id, MIN(l) AS cluster_id FROM cc GROUP BY n),
+WITH RECURSIVE {components_ctes(ngram_jaccard_sql(tau))},
 keyed AS (
-  SELECT d.doc_id, coalesce(lab.cluster_id, d.doc_id) AS split_key
-  FROM documents d LEFT JOIN lab ON lab.doc_id = d.doc_id)
+  SELECT d.doc_id, coalesce(lab.l, d.doc_id) AS split_key
+  FROM documents d LEFT JOIN labels lab ON lab.node = d.doc_id)
 SELECT doc_id, split_key,
        CASE WHEN h < '{train_hex}' THEN 'train'
             WHEN h < '{val_hex}' THEN 'val'

@@ -973,8 +973,8 @@ def dedup_clusters(sf_dir: str, as_dataset: bool = False):
 
     End-to-end streaming: pairs stay a Dataset from the bucket groupby
     through the closure — no driver round-trip of the pair set.  Oracle:
-    a DuckDB recursive CTE over the exact word-3-gram Jaccard pair SQL
-    (the minhash pair set is oracle-equal to it at gate scale)."""
+    ``oracle_sql.components_ctes`` over the exact word-3-gram Jaccard
+    pair SQL (the minhash pair set is oracle-equal to it at gate scale)."""
     from . import graph
     pairs = _minhash_verified_ds(sf_dir, "dedup_clusters")
     if pairs is None:

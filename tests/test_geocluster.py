@@ -2,6 +2,8 @@
 """geo_clusters (DBSCAN) — oracle parity at gate scale + DBSCAN
 invariants against a brute-force all-pairs reference."""
 
+import os
+
 import duckdb
 import numpy as np
 import pandas as pd
@@ -12,6 +14,7 @@ import osmlint
 from osmlint import geo, geocluster, oracle_sql, synth
 
 SF = "/root/testdata/sf0.001"
+SF01 = "/root/testdata/sf0.01"
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +96,25 @@ def test_oracle_parity(result):
         check_dtype=False)
 
 
+def test_oracle_closure_reaches_fixpoint_seed207(ray_session, monkeypatch,
+                                                tmp_path):
+    """Seed 207 at sf0.005 holds a core cluster whose labels meet only
+    after more than 48 propagate-and-jump rounds; the default oracle call
+    must still give the engine's 92 clusters, not split that one."""
+    monkeypatch.setattr(synth, "SEED", 207)
+    d = synth.generate(0.005, base=str(tmp_path))
+    keys = ["osm_id", "entity_type"]
+    got = geocluster.geo_clusters(d).to_pandas() \
+        .sort_values(keys).reset_index(drop=True)
+    exp = duckdb.connect().execute(oracle_sql.geo_clusters_sql(
+        d, geocluster.EPS_KM, geocluster.MIN_PTS)).df() \
+        .sort_values(keys).reset_index(drop=True)
+    assert got["cluster_id"].nunique() == 92
+    pd.testing.assert_frame_equal(
+        got[sorted(got.columns)], exp[sorted(exp.columns)],
+        check_dtype=False)
+
+
 def test_distributed_paths_agree(result, monkeypatch):
     """The default run takes the local vectorized tail; force the FULLY
     distributed tail (SMALL_PAIRS patched to 0) AND the JOIN-based core-flag
@@ -138,6 +160,22 @@ def test_geo_cluster_stats_invariants(result):
         assert r["lat_min"] <= r["centroid_lat"] <= r["lat_max"]
         assert r["lon_min"] <= r["centroid_lon"] <= r["lon_max"]
     assert stats["n_points"].sum() == len(got)
+
+
+@pytest.mark.skipif(not os.path.exists(SF01), reason="no sf0.01 data")
+def test_stats_oracle_matches_engine_exactly(ray_session):
+    """Centroids are 6-dp rounded means, and at sf0.01 one cluster's lat
+    mean sits on a half-way point, so a double sum taken in the order a
+    join delivers rounds either way.  The oracle must give the engine's
+    centroids bit for bit on every run."""
+    d = synth.generate(SF01)
+    got = geocluster.geo_cluster_stats(d)
+    sql = oracle_sql.geo_cluster_stats_sql(
+        d, geocluster.EPS_KM, geocluster.MIN_PTS)
+    con = duckdb.connect()
+    for _ in range(8):
+        pd.testing.assert_frame_equal(got, con.execute(sql).df(),
+                                      check_dtype=False, check_exact=True)
 
 
 def test_geo_cluster_diameter_brute(result):

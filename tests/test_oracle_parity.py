@@ -170,14 +170,15 @@ def test_r4_ops_oracle_parity_sf01(ray_session, name):
     "geo_semivariogram", "geo_nn_stats",
     "geo_kernel_surface", "geo_bearing_rose", "dedup_apply_quality",
     "geo_pip_gaps", "geo_hilbert_index", "lint_flags_by_tile",
-    "knn_dup_names"])
+    "knn_dup_names", "geo_clusters", "geo_cluster_stats"])
 # geo_cluster_diameter is EXCLUDED from the sf0.1 oracle sweep on
-# purpose: its oracle embeds the 48-round DBSCAN closure SQL, which
-# DuckDB takes hours to materialize at sf0.1 (the engine side is
-# seconds).  Its oracle parity runs at sf0.001+sf0.01 in
-# scripts/verify_queries.py, and test_geocluster.py pins the brute
-# force; test_diameter_consistent_with_stats_sf01 below keeps an
-# engine-side sf0.1 check.
+# purpose: its oracle's within-cluster self-join makes ~684M pairs for
+# the 34,302-member core cluster at sf0.1 (the engine prunes to hull
+# points first; a SQL mirror of that prefilter would lift this).  Its
+# oracle parity runs at sf0.001+sf0.01 in scripts/verify_queries.py,
+# and test_geocluster.py pins the brute force;
+# test_diameter_consistent_with_stats_sf01 below keeps an engine-side
+# sf0.1 check.
 def test_r4c_ops_oracle_parity_sf01(ray_session, name):
     import duckdb
 
@@ -217,6 +218,10 @@ def test_r4c_ops_oracle_parity_sf01(ray_session, name):
         "lint_flags_by_tile": oracle_sql.lint_flags_by_tile_sql(d),
         "knn_dup_names": oracle_sql.knn_dup_names_sql(
             d, dupnames.DEFAULT_RADIUS_KM, dupnames.MAX_NAME_FREQ),
+        "geo_clusters": oracle_sql.geo_clusters_sql(
+            d, geocluster.EPS_KM, geocluster.MIN_PTS),
+        "geo_cluster_stats": oracle_sql.geo_cluster_stats_sql(
+            d, geocluster.EPS_KM, geocluster.MIN_PTS),
     }[name]
     exp = con.execute(sql).df()
     g, e = _events_canon(got), _events_canon(exp)
