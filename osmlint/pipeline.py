@@ -19,9 +19,9 @@ src/main.py:223-232 — here parallelism is per block, map identity is data):
   numpy reduce; the driver sees only collisions), the big stream never
   shuffles; the cross-source first-wins merge (src/main.py:95-112) is a
   bucketed keyed shuffle with a deterministic ordering column (map_order);
-* report aggregations (src/main.py:52-92) pre-aggregate inside map_batches
-  and reduce through a bucket-keyed distributed second level — nothing on
-  the driver grows with #docs.
+* the report (A1–A3, src/main.py:52-112) is ONE osm_id-bucket shuffle:
+  each bucket emits its merged rows plus per-map / per-check partials, so
+  the driver only sums partials and never sees the merged rows it drops.
 """
 
 from __future__ import annotations
@@ -31,9 +31,9 @@ import os
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 import ray.data as rd
-from ray.data.aggregate import Sum
 
 from . import caches
 from . import checks as checks_mod
@@ -274,7 +274,6 @@ def _collision_proj(batch: pa.Table, slug2code: dict,
     span rows ever become numpy), and the slug→code map runs over the
     dictionary values, not the rows.  Falls back to the full
     (malformed-tolerant) decode if a doc_id fails the int cast."""
-    import pyarrow.compute as pc
     n = batch.num_rows
     try:
         parts = pc.split_pattern(batch["doc_id"].combine_chunks(), "/")
@@ -512,120 +511,140 @@ def flags_dataset(data_dir: str, *,
 
 
 # ---------------------------------------------------------------------------
-# report aggregations (A1–A3, src/main.py:44-123)
+# report aggregations (A1–A3, src/main.py:44-123): one id-bucket pass
 # ---------------------------------------------------------------------------
-
-_SUMMARY_PARTIAL = pa.schema([
-    ("map_name", pa.string()), ("osm_id", pa.int64()),
-    ("e", pa.int64()), ("f", pa.int64()), ("_b", pa.int64())])
-_SUMMARY_BUCKET = pa.schema([
-    ("map_name", pa.string()), ("n", pa.int64()),
-    ("e", pa.int64()), ("f", pa.int64())])
-
-
-def summary_per_map(flags: rd.Dataset) -> pd.DataFrame:
-    """A1 (src/main.py:52-76): per map, #entities with ≥1 result, #error
-    results, #fixable error results.
-
-    Fully distributed two-level reduction (nothing O(#entities) on the
-    driver): per-batch vectorized partials (map, id → err/fix sums, one
-    narrow Arrow row per entity per batch, plus an id hash bucket), then a
-    ``groupby(bucket)`` shuffle colocates each entity's partials and the
-    per-bucket pandas reduce emits ONE row per (map, bucket).  The driver
-    combines only #maps × #buckets tiny rows."""
-    n_buckets = widths.n_buckets()
-
-    def partial(df: pd.DataFrame) -> pa.Table:
-        err = (df["result"] == "CHECKED_ERROR")
-        out = (pd.DataFrame({
-            "map_name": df["map_name"], "osm_id": df["osm_id"],
-            "e": err.astype(np.int64),
-            "f": (err & df["fixable"]).astype(np.int64)})
-            .groupby(["map_name", "osm_id"], sort=False, as_index=False).sum())
-        out["_b"] = widths.bucket_of(out["osm_id"].to_numpy(), n_buckets)
-        return to_arrow(out, _SUMMARY_PARTIAL)
-
-    def bucket_reduce(g: pd.DataFrame) -> pa.Table:
-        ent = g.groupby(["map_name", "osm_id"], sort=False,
-                        as_index=False)[["e", "f"]].sum()
-        per_map = ent.groupby("map_name", as_index=False).agg(
-            n=("osm_id", "size"), e=("e", "sum"), f=("f", "sum"))
-        return to_arrow(per_map, _SUMMARY_BUCKET)
-
-    parts = flags.map_batches(partial, batch_format="pandas")
-    p = parts.repartition(widths.shuffle_blocks()).groupby("_b").map_groups(
-        bucket_reduce, batch_format="pandas").to_pandas()
-    df = p.groupby("map_name", as_index=False)[["n", "e", "f"]].sum() \
-        .rename(columns={"n": "count_map_checks", "e": "count_map_errors",
-                         "f": "count_map_fixable_errors"})
-    df = df.sort_values("map_name").reset_index(drop=True)
-    for c in df.columns[1:]:
-        df[c] = df[c].astype(np.int64)
-    return df
-
-
-def per_check_type(flags: rd.Dataset) -> pd.DataFrame:
-    """A2 (src/main.py:79-92): per check FQN, total results + non-OK count.
-
-    Per-batch vectorized partials (~#checks rows each) reduce through ONE
-    distributed ``groupby(check_name)`` Sum level, so the driver pulls
-    O(#checks) rows — never O(#batches x #checks) (at 100 TB, millions of
-    blocks would otherwise land a millions-row frame on the driver)."""
-    def partial(df: pd.DataFrame) -> pa.Table:
-        out = (pd.DataFrame({
-            "check_name": df["check_name"],
-            "n": np.int64(1),
-            "n_err": (df["result"] != "CHECKED_OK").astype(np.int64)})
-            .groupby("check_name", sort=False, as_index=False).sum())
-        return to_arrow(out)
-
-    p = (flags.map_batches(partial, batch_format="pandas")
-         .groupby("check_name")
-         .aggregate(Sum("n", alias_name="count_total_checks"),
-                    Sum("n_err", alias_name="count_total_errors"))
-         .to_pandas())
-    df = p.sort_values("check_name").reset_index(drop=True)
-    df["explanation"] = df["check_name"].map(
-        lambda f: checks_mod.CHECKS[f].explanation)
-    for c in ("count_total_checks", "count_total_errors"):
-        df[c] = df[c].astype(np.int64)
-    return df[["check_name", "explanation", "count_total_checks",
-               "count_total_errors"]]
-
 
 MAP_ORDER = {mc.map_name: i for i, mc in
              enumerate(config_mod.default_map_checks())}
 
+#: A3 rows: the flags plus the map name without its '(source)' suffix
+_MERGED = pa.schema(list(schema.FLAGS) + [("map_overall", pa.string())])
+#: report-pass rows by ``kind``: "row" a merged A3 row, "map" an A1 partial
+#: (map_name; n entities, e errors, f fixable errors), "check" an A2
+#: partial (check_name; n results, e non-OK results); unused columns null
+_REPORT = pa.schema(list(_MERGED) + [("kind", pa.string())]
+                    + [(c, pa.int64()) for c in "nef"])
 
-def merge_overall(flags: rd.Dataset) -> rd.Dataset:
-    """A3 (src/main.py:95-112): strip the '(source)' suffix, merge per-entity
-    check dicts across sources of the same overall map, first-wins on
-    (entity, check).  'First' is the deterministic config order (the
-    reference's dict-insertion order is completion-order nondeterministic —
-    documented divergence)."""
+
+def _rows(kind: str, n: int, cols: dict) -> pa.Table:
+    cols = {**cols, "kind": pa.array([kind] * n, pa.string())}
+    return pa.table({f.name: cols.get(f.name, pa.nulls(n, f.type))
+                     for f in _REPORT}, schema=_REPORT)
+
+
+def _report_bucket(t: pa.Table) -> pa.Table:
+    """Everything the report needs from one id bucket, which holds every
+    row of each of its osm_ids, so each count is exact.  A3
+    (src/main.py:95-112): sorted by (map_overall, osm_id, map_order), the
+    first row of each (map_overall, osm_id, check_name) wins and takes
+    display_name / entity_type from its entity's first row — 'first' is
+    the deterministic config order (the reference's is completion order:
+    documented divergence), and the entity key is the bare osm_id, as
+    there.  Over the pre-merge rows, A1 (src/main.py:52-76) per map:
+    distinct osm_ids, errors, fixable errors; A2 (src/main.py:79-92) per
+    check: results, non-OK results."""
+    mcode, maps = pd.factorize(t["map_name"].to_numpy())
+    ccode, checks = pd.factorize(t["check_name"].to_numpy())
+    osm = t["osm_id"].to_numpy()
+    err = pc.equal(t["result"], "CHECKED_ERROR").to_numpy()
+    nonok = pc.not_equal(t["result"], "CHECKED_OK").to_numpy()
+    fix = err & t["fixable"].to_numpy()
+
+    overall = [m.split(" (", 1)[0] for m in maps]
+    ocode = pd.factorize(np.array(overall, dtype=object))[0][mcode]
+    order = np.array([MAP_ORDER[m] for m in maps], dtype=np.int64)[mcode]
+    srt = np.lexsort((order, osm, ocode))
+    oc, ids = ocode[srt], osm[srt]
+    new = np.r_[True, (oc[1:] != oc[:-1]) | (ids[1:] != ids[:-1])]
+    ent = np.cumsum(new) - 1
+    # np.unique sorts stably: the first index of each (entity, check) wins
+    _, first = np.unique(ent * len(checks) + ccode[srt], return_index=True)
+    rows, lead = srt[first], srt[new][ent[first]]
+    kept = t.select(schema.FLAGS.names).take(rows)
+    merged = dict(zip(kept.column_names, kept.columns),
+                  display_name=t["display_name"].take(lead),
+                  entity_type=t["entity_type"].take(lead),
+                  map_overall=pa.array(overall).take(mcode[rows]))
+
+    per_map = pd.DataFrame({"m": mcode, "o": osm}).drop_duplicates()["m"]
+    m, k = len(maps), len(checks)
+    return pa.concat_tables([
+        _rows("row", len(rows), merged),
+        _rows("map", m, {"map_name": maps,
+                         "n": np.bincount(per_map, minlength=m),
+                         "e": np.bincount(mcode[err], minlength=m),
+                         "f": np.bincount(mcode[fix], minlength=m)}),
+        _rows("check", k, {"check_name": checks,
+                           "n": np.bincount(ccode, minlength=k),
+                           "e": np.bincount(ccode[nonok], minlength=k)})])
+
+
+def _report_pass(flags: rd.Dataset, project) -> rd.Dataset:
+    """The report's one shuffle: ``_report_bucket`` per osm_id hash
+    bucket, then ``project`` (``_REPORT`` table -> table) on the workers,
+    so the caller receives only the rows it uses."""
     n_buckets = widths.n_buckets()
 
-    def add_overall(df: pd.DataFrame) -> pa.Table:
-        df = df.copy()
-        df["map_overall"] = df["map_name"].str.split(" (", regex=False).str[0]
-        df["map_order"] = df["map_name"].map(MAP_ORDER).astype(np.int64)
-        df["_b"] = widths.bucket_of(df["osm_id"].to_numpy(), n_buckets)
-        return to_arrow(df)
+    def bucketed(t: pa.Table) -> pa.Table:
+        return t.select(schema.FLAGS.names).append_column("_b", pa.array(
+            widths.bucket_of(t["osm_id"].to_numpy(), n_buckets), pa.int64()))
 
-    def merge_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        # vectorized over every entity in the (overall, bucket) group:
-        # first-wins row per (entity, check); display/entity_type from the
-        # entity's lowest-map_order row (reference src/main.py:108-112)
-        g = g.sort_values(["osm_id", "map_order"], kind="stable")
-        firsts = g.drop_duplicates("osm_id", keep="first").set_index("osm_id")
-        kept = g.drop_duplicates(["osm_id", "check_name"], keep="first").copy()
-        kept["display_name"] = kept["osm_id"].map(firsts["display_name"]).to_numpy()
-        kept["entity_type"] = kept["osm_id"].map(firsts["entity_type"]).to_numpy()
-        kept = kept.drop(columns=["map_order", "_b"])
-        merged_schema = pa.schema(list(schema.FLAGS)
-                                  + [pa.field("map_overall", pa.string())])
-        return to_arrow(kept[[f.name for f in merged_schema]], merged_schema)
+    return (flags.map_batches(bucketed, batch_format="pyarrow")
+            .groupby("_b").map_groups(_report_bucket, batch_format="pyarrow")
+            .map_batches(project, batch_format="pyarrow"))
 
-    with_overall = flags.map_batches(add_overall, batch_format="pandas")
-    return with_overall.groupby(["map_overall", "_b"]).map_groups(
-        merge_bucket, batch_format="pandas")
+
+def _kind(kind: str, columns: list[str]):
+    return lambda t: t.filter(pc.equal(t["kind"], kind)).select(columns)
+
+
+def _summary_frame(p: pd.DataFrame) -> pd.DataFrame:
+    df = p.groupby("map_name", as_index=False)[["n", "e", "f"]].sum() \
+        .rename(columns={"n": "count_map_checks", "e": "count_map_errors",
+                         "f": "count_map_fixable_errors"})
+    return df.astype({c: np.int64 for c in df.columns[1:]})
+
+
+def _check_frame(p: pd.DataFrame) -> pd.DataFrame:
+    df = p.groupby("check_name", as_index=False)[["n", "e"]].sum() \
+        .rename(columns={"n": "count_total_checks", "e": "count_total_errors"})
+    df.insert(1, "explanation", df["check_name"].map(
+        lambda f: checks_mod.CHECKS[f].explanation))
+    return df.astype({c: np.int64 for c in df.columns[2:]})
+
+
+def summary_per_map(flags: rd.Dataset) -> pd.DataFrame:
+    """A1 (src/main.py:52-76): per map, #entities with ≥1 result, #error
+    results, #fixable error results; the driver sums bucket partials."""
+    return _summary_frame(_report_pass(
+        flags, _kind("map", ["map_name", "n", "e", "f"])).to_pandas())
+
+
+def per_check_type(flags: rd.Dataset) -> pd.DataFrame:
+    """A2 (src/main.py:79-92): per check FQN, total results + non-OK
+    count; the driver sums bucket partials."""
+    return _check_frame(_report_pass(
+        flags, _kind("check", ["check_name", "n", "e"])).to_pandas())
+
+
+def merge_overall(flags: rd.Dataset) -> rd.Dataset:
+    """A3 (src/main.py:95-112), lazy: each entity's checks merged across
+    the sources of its overall map (see ``_report_bucket``)."""
+    return _report_pass(flags, _kind("row", _MERGED.names))
+
+
+def report_frames(flags: rd.Dataset) -> tuple[pd.DataFrame, pd.DataFrame,
+                                                pd.DataFrame]:
+    """(A1, A2, the CHECKED_ERROR rows of A3) from ONE execution of the
+    bucket pass; the workers drop the other merged rows."""
+    def errors_and_partials(t: pa.Table) -> pa.Table:
+        return t.filter(pc.or_kleene(pc.not_equal(t["kind"], "row"),
+                                     pc.equal(t["result"], "CHECKED_ERROR")))
+
+    p = _report_pass(flags, errors_and_partials).to_pandas()
+    kind = p["kind"]
+    # the partial rows' nulls made the id columns float
+    errors = p.loc[kind == "row", _MERGED.names].astype(
+        {"osm_id": np.int64, "seq": np.int64})
+    return (_summary_frame(p[kind == "map"]), _check_frame(p[kind == "check"]),
+            errors)

@@ -2,9 +2,10 @@
 """Report rendering: the sink of the reference's report mode
 (generate_report, src/main.py:44-123 + src/templates/report_template.html).
 
-Consumes the small aggregate frames (A1 per-map summary, A2 per-check
-summary) plus the merged flags (A3) and renders the HTML report with the
-reference's ordering rules (A4, src/main.py:70,92,114-118):
+Renders the A1 per-map and A2 per-check summaries and the CHECKED_ERROR
+rows of the A3 merge, which ``pipeline.report_frames`` gets from one
+shuffle of the flags, with the reference's ordering rules (A4,
+src/main.py:70,92,114-118):
 
 * overall maps sorted by name;
 * check types sorted by fully-qualified name, with the class docstring as
@@ -13,15 +14,14 @@ reference's ordering rules (A4, src/main.py:70,92,114-118):
 * the error section lists only CHECKED_ERROR rows (A6 — the template's
   ``result.value == 3`` filter).
 
-Rendering is driver-side string assembly over ALREADY-AGGREGATED small
-frames — the heavy work happened in the distributed pipeline."""
+Rendering is driver-side string assembly over ALREADY-AGGREGATED frames
+and the error rows: the workers drop every other merged row."""
 
 from __future__ import annotations
 
 import html as _html
-import os
 
-from . import caches, pipeline
+from . import pipeline
 
 
 def render_report(flags_ds, *, date=None) -> str:
@@ -33,9 +33,7 @@ def render_report(flags_ds, *, date=None) -> str:
     One message per (entity, check) row in the merged model, so the
     template's multi-message <ul> branch cannot occur."""
     import datetime as _dt
-    summary = pipeline.summary_per_map(flags_ds)
-    per_check = pipeline.per_check_type(flags_ds)
-    merged = pipeline.merge_overall(flags_ds).to_pandas()
+    summary, per_check, errors = pipeline.report_frames(flags_ds)
     d = date or _dt.date.today()
 
     def esc(s) -> str:
@@ -87,10 +85,8 @@ def render_report(flags_ds, *, date=None) -> str:
     # Errors (template lines 83-120): per overall map, CHECKED_ERROR rows
     # only (result.value == 3, A6), entities sorted by display name (A4),
     # entity cell links to the OSM object
-    errors = merged[merged["result"] == "CHECKED_ERROR"]
     out.append("<div class='section'><h2><a name='Errors'></a>Errors</h2>")
-    for overall in sorted(errors["map_overall"].unique()):
-        sub = errors[errors["map_overall"] == overall]
+    for overall, sub in errors.groupby("map_overall", sort=True):
         sub = sub.sort_values(["display_name", "check_name"], kind="stable")
         out.append(f"<div class='section'><h3 id='{esc(overall)}'>"
                    f"{esc(overall)}</h3>"
@@ -111,25 +107,10 @@ def render_report(flags_ds, *, date=None) -> str:
 
 
 def write_report(data_dir: str, out_path: str) -> str:
-    """Checkpoint the flags to parquet once (lineage checkpoint, not an
-    object-store materialize), then render the three aggregations from
-    cheap columnar re-reads.
-
-    The scratch dir lives under ``caches.ckpt_root()``.  Its local-tmp
-    default is SINGLE-NODE ONLY: on a multi-node cluster each worker
-    writes its blocks to its own node's tmp, so point
-    ``$OSMLINT_CKPT_DIR`` at a shared filesystem / object-store URI there
-    (ADVICE r2 #5)."""
-    import shutil
-    import uuid
-
-    import ray.data as rd
-    tmp = os.path.join(caches.ckpt_root(), f"flags_{uuid.uuid4().hex}")
-    try:
-        pipeline.flags_dataset(data_dir).write_parquet(tmp)
-        html = render_report(rd.read_parquet(tmp))
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
+    """Lint ``data_dir`` and write its HTML report to ``out_path``.  The
+    flags stream straight into ``pipeline.report_frames``: no scratch
+    files, so nothing ties the run to one node."""
+    html = render_report(pipeline.flags_dataset(data_dir))
     with open(out_path, "w") as f:
         f.write(html)
     return out_path

@@ -46,8 +46,9 @@ def test_registry_contract(entrymod):
                for v in osql.values())
 
 
-@pytest.mark.parametrize("name", ["lint_summary_per_map", "pip_tile_join",
-                                  "events_window", "dedup_exact"])
+@pytest.mark.parametrize("name", [
+    "lint_summary_per_map", "lint_per_check_type", "lint_merge_overall",
+    "pip_tile_join", "events_window", "dedup_exact"])
 def test_query_oracle_sidebyside(entrymod, name):
     from osmlint import queries as qmod
     got = _canon(_to_pandas(entrymod.queries()[name](SF)))

@@ -1,7 +1,9 @@
 # -*- coding: utf-8 -*-
 """Lineage (kill-and-resume) and report-rendering tests."""
 
+import html as _html
 import os
+import re
 
 import pandas as pd
 import pyarrow.parquet as pq
@@ -125,10 +127,71 @@ def test_resume_replaces_stale_partitions(ray_session, synth_small, tmp_path):
         check_dtype=False)
 
 
+_MAP_ROW = re.compile(r"<tr class='b'><td>(.*?)</td><td>(\d+)</td>"
+                      r"<td>(\d+)</td><td>(\d+)</td></tr>")
+_CHECK_ROW = re.compile(r"<tr class='b'><td>(.*?)</td><td>(.*?)</td>"
+                        r"<td>(\d+)</td><td>(\d+)</td></tr>", re.S)
+_ERR_ROW = re.compile(r"<tr class='b'><td><a href='https://www\.openstreetmap"
+                      r"\.org/(.*?)/(\d+)'>(.*?)</a></td><td>(.*?)</td>"
+                      r"<td>(.*?)</td></tr>", re.S)
+_ERR_SECTION = re.compile(r"<div class='section'><h3 id='(.*?)'>")
+
+
+def _report_content(text):
+    """(map rows, check rows, {section: sorted error rows}) of a report.
+    Error rows are sorted because rows that tie on display name may come
+    in any order."""
+    un = _html.unescape
+    _, rest = text.split("<a name='Countries'>", 1)
+    maps, rest = rest.split("<a name='Rules'>", 1)
+    checks, errs = rest.split("<a name='Errors'>", 1)
+    secs = _ERR_SECTION.split(errs)
+    return (
+        [(un(m[1]), int(m[2]), int(m[3]), int(m[4]))
+         for m in _MAP_ROW.finditer(maps)],
+        [(un(m[1]), un(m[2]), int(m[3]), int(m[4]))
+         for m in _CHECK_ROW.finditer(checks)],
+        {un(name): sorted((un(m[1]), int(m[2]), un(m[3]), un(m[4]), un(m[5]))
+                          for m in _ERR_ROW.finditer(body))
+         for name, body in zip(secs[1::2], secs[2::2])})
+
+
+def _oracle_report_content(d):
+    import duckdb
+
+    from osmlint import oracle_sql
+    con = duckdb.connect()
+    a1 = con.execute(oracle_sql.lint_summary_per_map_sql(d)).df()
+    a2 = con.execute(oracle_sql.lint_per_check_type_sql(d)).df()
+    a3 = con.execute(oracle_sql.lint_merge_overall_sql(d)).df()
+    err = a3[a3["result"] == "CHECKED_ERROR"]
+    return (
+        [(r.map_name, r.count_map_checks, r.count_map_errors,
+          r.count_map_fixable_errors) for r in a1.itertuples()],
+        [(r.check_name, r.explanation, r.count_total_checks,
+          r.count_total_errors) for r in a2.itertuples()],
+        {overall: sorted((str(r.entity_type), r.osm_id, str(r.display_name),
+                          str(r.check_name), str(r.message))
+                         for r in g.itertuples())
+         for overall, g in err.groupby("map_overall", sort=True)})
+
+
 def test_report_render(ray_session, synth_small, tmp_path):
     p = str(tmp_path / "report.html")
     report.write_report(synth_small, p)
     html = open(p).read()
+    # the report's content is the oracle's A1, A2 and A3 error rows, and
+    # write_report leaves no flags scratch dir behind
+    maps, checks, errors = _report_content(html)
+    exp_maps, exp_checks, exp_errors = _oracle_report_content(synth_small)
+    assert len(exp_maps) > 1 and len(exp_errors) > 1
+    assert maps == exp_maps
+    assert checks == exp_checks
+    assert list(errors) == list(exp_errors)
+    assert errors == exp_errors
+    root = caches.ckpt_root()
+    assert not (os.path.isdir(root) and [
+        n for n in os.listdir(root) if n.startswith("flags_")])
     # reference template structure (src/templates/report_template.html):
     # Summary / By countries / By check type / Errors sections
     assert "Serbian OSM lint - Results" in html
@@ -140,7 +203,6 @@ def test_report_render(ray_session, synth_small, tmp_path):
     assert "https://www.openstreetmap.org/node/" in html
     # entities sorted by display name within an Errors section (A4);
     # A6: only error rows are listed
-    import re
     sec = html.split("<h3 id='Serbia checks'>", 1)[1].split("</table>")[0]
     names = re.findall(r"<a href='[^']*'>([^<]*)</a>", sec)
     assert names == sorted(names)
@@ -160,7 +222,7 @@ def test_cell_sorted_layout(ray_session, synth_small, tmp_path):
 def test_job_entry_workers_import_from_any_cwd(synth_small, tmp_path):
     """The job entrypoint ships ``osmlint`` to its workers: run from an
     unrelated cwd with no ``PYTHONPATH``, the map workers still import
-    it."""
+    it, and the report renders from the lineage output it wrote."""
     import subprocess
     import sys
 
@@ -171,7 +233,8 @@ def test_job_entry_workers_import_from_any_cwd(synth_small, tmp_path):
     cwd.mkdir()
     res = subprocess.run(
         [sys.executable, os.path.join(root, "scripts", "job_entry.py"),
-         "--data", synth_small, "--out", str(tmp_path / "out")],
+         "--data", synth_small, "--out", str(tmp_path / "out"), "--report"],
         cwd=cwd, env=env, capture_output=True, text=True, timeout=600)
     assert res.returncode == 0, res.stderr[-3000:]
     assert '"partitions"' in res.stdout
+    assert os.path.getsize(tmp_path / "out" / "report.html") > 0

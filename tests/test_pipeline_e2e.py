@@ -6,7 +6,7 @@ import pandas as pd
 import pyarrow.parquet as pq
 import pytest
 
-from osmlint import config, oracle, pipeline, spans
+from osmlint import config, oracle, pipeline, schema, spans
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +78,42 @@ def test_merge_overall(ray_session, flags_df):
     # a serbia entity flagged by both PBF and a sophox map keeps distinct checks
     serbia = merged[merged["map_overall"] == "Serbia checks"]
     assert (serbia.groupby("osm_id")["check_name"].nunique() >= 1).all()
+
+
+def test_bare_osm_id_tie(ray_session):
+    """The merge keys on bare osm_id, as the reference does, so a node and
+    a way that share an id in one map tie on map_order.  The merge still
+    keeps one row per (map_overall, osm_id, check_name), with one display
+    name per entity, and A1 counts the pair as one entity, as the
+    oracle's count(DISTINCT osm_id) does."""
+    import ray.data as rd
+    pbf, sophox = "Serbia checks (PBF)", "Serbia checks (Sophox adding name)"
+    exists, serbian = ("checks.WikipediaEntryExistsCheck",
+                       "checks.WikipediaEntryIsInSerbianCheck")
+    df = pd.DataFrame([
+        ("n7", pbf, 7, 1, "Foo", "node", exists, "CHECKED_ERROR", "m1", True),
+        ("w7", pbf, 7, 2, "Bar", "way", exists, "CHECKED_OK", "", False),
+        ("w7", pbf, 7, 2, "Bar", "way", serbian, "CHECKED_ERROR", "m2", False),
+        ("s7", sophox, 7, 3, "Baz", "node", exists, "CHECKED_ERROR", "m3",
+         False),
+        ("n8", pbf, 8, 4, "Qux", "node", exists, "CHECKED_OK", "", False),
+    ], columns=schema.FLAGS.names)
+    ds = rd.from_pandas(df)
+
+    merged = pipeline.merge_overall(ds).to_pandas()
+    assert sorted(zip(merged["map_overall"], merged["osm_id"],
+                      merged["check_name"])) == [
+        ("Serbia checks", 7, exists), ("Serbia checks", 7, serbian),
+        ("Serbia checks", 8, exists)]
+    seven = merged[merged["osm_id"] == 7]
+    # the tie: display and type come from one of the two PBF rows
+    assert seven[["display_name", "entity_type"]].drop_duplicates() \
+        .apply(tuple, axis=1).tolist() in ([("Foo", "node")],
+                                           [("Bar", "way")])
+    assert set(seven["map_name"]) == {pbf}
+
+    summary = pipeline.summary_per_map(ds)
+    assert summary.values.tolist() == [[pbf, 2, 2, 1], [sophox, 1, 1, 0]]
 
 
 def test_pip_assignment(ray_session, synth_small):

@@ -123,6 +123,7 @@ def test_results_do_not_depend_on_width(flags_ds, dup_corpus, monkeypatch):
             labels = graph.cluster_labels(edges)
         out[n_cpus] = (
             pipeline.summary_per_map(flags_ds),
+            pipeline.per_check_type(flags_ds),
             _sorted(pipeline.merge_overall(flags_ds).to_pandas()),
             labels,
             textops.dedup_apply(dup_corpus),
@@ -133,8 +134,8 @@ def test_results_do_not_depend_on_width(flags_ds, dup_corpus, monkeypatch):
     assert narrow[-1] != wide[-1]
     for a, b in zip(narrow[:-1], wide[:-1]):
         pd.testing.assert_frame_equal(a, b)
-    assert narrow[2]["cluster_size"].tolist() == [251] * 753
-    assert len(narrow[3]) == 400                # one keeper per group
+    assert narrow[3]["cluster_size"].tolist() == [251] * 753
+    assert len(narrow[4]) == 400                # one keeper per group
 
 
 # ---------------------------------------------------------------------------
