@@ -20,11 +20,12 @@ each partition it lacks is rewritten with ``caches.publish(...,
 replace=True)``, which first removes whatever a crashed or earlier run
 left under that slug (sealed or not, temp dirs included), then publishes
 atomically, sealed with ``_SUCCESS``.  Readers take the partitions from
-``partition_dirs``, never from a directory listing.  Lineage output is
-not a cache — ``clear_caches(purge_disk=True)`` never deletes it.  All
-partitions dedup against one whole-table collision table, built once per
-process: the first partition a process runs carries that pre-pass in its
-manifest ``wall_s``."""
+``partition_dirs`` (or their files from ``partition_files``), never from a
+directory listing of ``out_dir``.  Lineage output is not a cache —
+``clear_caches(purge_disk=True)`` never deletes it.  All partitions dedup
+against one whole-table collision table, built once per process: the
+first partition a process runs carries that pre-pass in its manifest
+``wall_s``."""
 
 from __future__ import annotations
 
@@ -67,6 +68,14 @@ def partition_dirs(out_dir: str) -> list[str]:
     killed writer that may sit beside it."""
     return [os.path.join(out_dir, f"part={slug}")
             for slug in sorted(load_manifest(out_dir))]
+
+
+def partition_files(out_dir: str) -> list[str]:
+    """The parquet files of ``partition_dirs``, for readers such as
+    ``rd.read_parquet`` that take a list of files but not a list of
+    directories."""
+    return [os.path.join(d, f) for d in partition_dirs(out_dir)
+            for f in sorted(os.listdir(d)) if f.endswith(".parquet")]
 
 
 def run_resumable(data_dir: str, out_dir: str, *,

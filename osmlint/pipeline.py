@@ -533,18 +533,21 @@ def _rows(kind: str, n: int, cols: dict) -> pa.Table:
 
 
 def _report_bucket(t: pa.Table) -> pa.Table:
-    """Everything the report needs from one id bucket, which holds every
-    row of each of its osm_ids, so each count is exact.  A3
-    (src/main.py:95-112): sorted by (map_overall, osm_id, map_order), the
-    first row of each (map_overall, osm_id, check_name) wins and takes
-    display_name / entity_type from its entity's first row — 'first' is
-    the deterministic config order (the reference's is completion order:
-    documented divergence), and the entity key is the bare osm_id, as
-    there.  Over the pre-merge rows, A1 (src/main.py:52-76) per map:
-    distinct osm_ids, errors, fixable errors; A2 (src/main.py:79-92) per
-    check: results, non-OK results."""
-    mcode, maps = pd.factorize(t["map_name"].to_numpy())
-    ccode, checks = pd.factorize(t["check_name"].to_numpy())
+    """Everything the report needs from one id bucket, which holds every row
+    of each of its osm_ids, so each count is exact.  A3 (src/main.py:95-112):
+    sorted by (map_overall, osm_id, map_order), the first row of each
+    (map_overall, osm_id, check_name) wins and takes display_name /
+    entity_type from its entity's first row — 'first' is the deterministic
+    config order (the reference's is completion order: documented
+    divergence), and the entity key is the bare osm_id, as there.  Over the
+    pre-merge rows, A1 (src/main.py:52-76) per map: distinct osm_ids,
+    errors, fixable errors; A2 (src/main.py:79-92) per check: results and
+    non-OK results."""
+    # factorized in Arrow: no Python string per row
+    mdict, cdict = (pc.dictionary_encode(t[c]).combine_chunks()
+                    for c in ("map_name", "check_name"))
+    mcode, maps = mdict.indices.to_numpy(), mdict.dictionary.to_pylist()
+    ccode, checks = cdict.indices.to_numpy(), cdict.dictionary
     osm = t["osm_id"].to_numpy()
     err = pc.equal(t["result"], "CHECKED_ERROR").to_numpy()
     nonok = pc.not_equal(t["result"], "CHECKED_OK").to_numpy()
@@ -554,19 +557,21 @@ def _report_bucket(t: pa.Table) -> pa.Table:
     ocode = pd.factorize(np.array(overall, dtype=object))[0][mcode]
     order = np.array([MAP_ORDER[m] for m in maps], dtype=np.int64)[mcode]
     srt = np.lexsort((order, osm, ocode))
-    oc, ids = ocode[srt], osm[srt]
+    oc, ids, od = ocode[srt], osm[srt], order[srt]
     new = np.r_[True, (oc[1:] != oc[:-1]) | (ids[1:] != ids[:-1])]
     ent = np.cumsum(new) - 1
     # np.unique sorts stably: the first index of each (entity, check) wins
     _, first = np.unique(ent * len(checks) + ccode[srt], return_index=True)
     rows, lead = srt[first], srt[new][ent[first]]
-    kept = t.select(schema.FLAGS.names).take(rows)
+    kept = t.select([c for c in schema.FLAGS.names
+                     if c not in ("display_name", "entity_type")]).take(rows)
     merged = dict(zip(kept.column_names, kept.columns),
                   display_name=t["display_name"].take(lead),
                   entity_type=t["entity_type"].take(lead),
                   map_overall=pa.array(overall).take(mcode[rows]))
 
-    per_map = pd.DataFrame({"m": mcode, "o": osm}).drop_duplicates()["m"]
+    # a map has one map_order, so each (map, osm_id) is one run of the sort
+    per_map = mcode[srt[new | np.r_[False, od[1:] != od[:-1]]]]
     m, k = len(maps), len(checks)
     return pa.concat_tables([
         _rows("row", len(rows), merged),
@@ -580,9 +585,8 @@ def _report_bucket(t: pa.Table) -> pa.Table:
 
 
 def _report_pass(flags: rd.Dataset, project) -> rd.Dataset:
-    """The report's one shuffle: ``_report_bucket`` per osm_id hash
-    bucket, then ``project`` (``_REPORT`` table -> table) on the workers,
-    so the caller receives only the rows it uses."""
+    """The report's one shuffle: ``_report_bucket`` per osm_id hash bucket,
+    then ``project`` (``_REPORT`` table -> table) on the workers."""
     n_buckets = widths.n_buckets()
 
     def bucketed(t: pa.Table) -> pa.Table:
@@ -598,33 +602,40 @@ def _kind(kind: str, columns: list[str]):
     return lambda t: t.filter(pc.equal(t["kind"], kind)).select(columns)
 
 
-def _summary_frame(p: pd.DataFrame) -> pd.DataFrame:
-    df = p.groupby("map_name", as_index=False)[["n", "e", "f"]].sum() \
+def _collect(flags: rd.Dataset, *kinds: str) -> pa.Table:
+    """The pass's ``kinds`` rows (merged ones only if CHECKED_ERROR) as one
+    Arrow table, which ``_frames`` splits by kind before any column meets
+    another kind's nulls; an empty sort partition's block has no columns."""
+    rows = _report_pass(flags, lambda t: t.filter(pc.and_(
+        pc.is_in(t["kind"], pa.array(kinds)), pc.fill_null(
+            pc.equal(t["result"], "CHECKED_ERROR"), True))))
+    return pa.concat_tables([_REPORT.empty_table()] + [
+        b for b in rows.iter_batches(batch_format="pyarrow", batch_size=None)
+        if b.num_rows])
+
+
+def _frames(p: pa.Table) -> tuple[pd.DataFrame, pd.DataFrame, pd.DataFrame]:
+    """(A1, A2, A3 rows) of a ``_collect`` table; sums bucket partials."""
+    a1 = _kind("map", ["map_name", "n", "e", "f"])(p).to_pandas() \
+        .groupby("map_name", as_index=False).sum() \
         .rename(columns={"n": "count_map_checks", "e": "count_map_errors",
                          "f": "count_map_fixable_errors"})
-    return df.astype({c: np.int64 for c in df.columns[1:]})
-
-
-def _check_frame(p: pd.DataFrame) -> pd.DataFrame:
-    df = p.groupby("check_name", as_index=False)[["n", "e"]].sum() \
+    a2 = _kind("check", ["check_name", "n", "e"])(p).to_pandas() \
+        .groupby("check_name", as_index=False).sum() \
         .rename(columns={"n": "count_total_checks", "e": "count_total_errors"})
-    df.insert(1, "explanation", df["check_name"].map(
+    a2.insert(1, "explanation", a2["check_name"].map(
         lambda f: checks_mod.CHECKS[f].explanation))
-    return df.astype({c: np.int64 for c in df.columns[2:]})
+    return a1, a2, _kind("row", _MERGED.names)(p).to_pandas()
 
 
 def summary_per_map(flags: rd.Dataset) -> pd.DataFrame:
-    """A1 (src/main.py:52-76): per map, #entities with ≥1 result, #error
-    results, #fixable error results; the driver sums bucket partials."""
-    return _summary_frame(_report_pass(
-        flags, _kind("map", ["map_name", "n", "e", "f"])).to_pandas())
+    """A1 (src/main.py:52-76): per map, #entities, #errors, #fixable errors."""
+    return _frames(_collect(flags, "map"))[0]
 
 
 def per_check_type(flags: rd.Dataset) -> pd.DataFrame:
-    """A2 (src/main.py:79-92): per check FQN, total results + non-OK
-    count; the driver sums bucket partials."""
-    return _check_frame(_report_pass(
-        flags, _kind("check", ["check_name", "n", "e"])).to_pandas())
+    """A2 (src/main.py:79-92): per check FQN, total results + non-OK count."""
+    return _frames(_collect(flags, "check"))[1]
 
 
 def merge_overall(flags: rd.Dataset) -> rd.Dataset:
@@ -635,16 +646,5 @@ def merge_overall(flags: rd.Dataset) -> rd.Dataset:
 
 def report_frames(flags: rd.Dataset) -> tuple[pd.DataFrame, pd.DataFrame,
                                                 pd.DataFrame]:
-    """(A1, A2, the CHECKED_ERROR rows of A3) from ONE execution of the
-    bucket pass; the workers drop the other merged rows."""
-    def errors_and_partials(t: pa.Table) -> pa.Table:
-        return t.filter(pc.or_kleene(pc.not_equal(t["kind"], "row"),
-                                     pc.equal(t["result"], "CHECKED_ERROR")))
-
-    p = _report_pass(flags, errors_and_partials).to_pandas()
-    kind = p["kind"]
-    # the partial rows' nulls made the id columns float
-    errors = p.loc[kind == "row", _MERGED.names].astype(
-        {"osm_id": np.int64, "seq": np.int64})
-    return (_summary_frame(p[kind == "map"]), _check_frame(p[kind == "check"]),
-            errors)
+    """(A1, A2, the CHECKED_ERROR rows of A3) from ONE bucket pass."""
+    return _frames(_collect(flags, "map", "check", "row"))

@@ -46,12 +46,9 @@ def main():
             p = os.path.join(args.out, "report.html")
             # render from the partitioned flags run_resumable just wrote:
             # one read of them feeds the report's one bucket pass, with no
-            # pipeline re-run and no object-store materialize.  The read
-            # takes the files: a list of directories fails in pyarrow
-            files = [os.path.join(d, f)
-                     for d in lineage.partition_dirs(args.out)
-                     for f in sorted(os.listdir(d)) if f.endswith(".parquet")]
-            html = report.render_report(rd.read_parquet(files))
+            # pipeline re-run and no object-store materialize
+            html = report.render_report(
+                rd.read_parquet(lineage.partition_files(args.out)))
             with open(p, "w") as f:
                 f.write(html)
             print(json.dumps({"report": p}))

@@ -119,6 +119,9 @@ def test_resume_replaces_stale_partitions(ray_session, synth_small, tmp_path):
     got = pd.concat([pq.read_table(d).to_pandas() for d in dirs],
                     ignore_index=True)
     assert len(got) == sum(v["flags"] for v in manifest.values())
+    files = lineage.partition_files(out)
+    assert {os.path.dirname(f) for f in files} == set(dirs)
+    assert sum(pq.read_metadata(f).num_rows for f in files) == len(got)
     exp = pipeline.flags_dataset(synth_small).to_pandas()
     key = ["map_name", "doc_id", "check_name"]
     pd.testing.assert_frame_equal(
