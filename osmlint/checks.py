@@ -334,10 +334,6 @@ def _generic_sophox(ctx: Ctx):
         name = ctx.name_or_id
         sub = [t.format(v) for t, v in zip(desc[app], name[app])]
         msg[app] = np.array(sub, dtype=object)
-        empty = app & (msg == "")
-        # a template rendering to '' would count as OK; reference templates
-        # never do — keep as-is
-        _ = empty
     return app, msg
 
 

@@ -31,16 +31,9 @@ import ray.data as rd
 
 from . import checks as checks_mod
 from . import config as config_mod
-from . import translit
+from . import schema, translit
 from .geo import haversine_km
 from .pipeline import _cached, _resolve, broadcast_refs, decoded, to_arrow
-
-FIXES_SCHEMA = pa.schema([
-    ("doc_id", pa.string()), ("map_name", pa.string()),
-    ("check_name", pa.string()), ("tag", pa.string()),
-    ("action", pa.string()), ("new_value", pa.string()),
-    ("message", pa.string()),
-])
 
 WN = {"way": "way", "node": "node"}     # relations excluded except C15f
 
@@ -316,9 +309,9 @@ def fix_plan_batch(batch: pa.Table, wiki_ref_ref=None, wikidata_ref_ref=None,
                     emit(m, grp, fqn, "name:sr-Latn", "delete", "", msg)
 
     if not rows:
-        return FIXES_SCHEMA.empty_table()
+        return schema.FIXES.empty_table()
     out = pd.concat(rows, ignore_index=True)
-    return to_arrow(out, FIXES_SCHEMA)
+    return to_arrow(out, schema.FIXES)
 
 
 def fix_plan_dataset(data_dir: str) -> rd.Dataset:

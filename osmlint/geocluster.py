@@ -65,7 +65,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
-from . import caches, geo, graph, widths
+from . import caches, geo, graph, spans, widths
 from .dupnames import MAP_SLUG, named_ctv_deduped
 
 EPS_KM = 0.5
@@ -94,13 +94,12 @@ def _to_nodes(batch: pa.Table) -> pa.Table:
 
     The encoding is SQL-expressible (oracle mirrors it), so the min-node
     cluster label round-trips exactly."""
-    df = batch.to_pandas()
-    parts = df["doc_id"].str.split("/", expand=True)
-    code = parts[1].map(_ETYPE_CODE).to_numpy(np.int64)
-    node = parts[2].astype(np.int64).to_numpy() * 4 + code
+    _, etype, osm = spans.doc_id_parts(batch["doc_id"])
+    code = etype.to_pandas().map(_ETYPE_CODE).to_numpy(np.int64)
+    node = osm.to_numpy() * 4 + code
     return pa.table({"node": pa.array(node, type=pa.int64()),
-                     "lat": pa.array(df["lat"].to_numpy(np.float64)),
-                     "lon": pa.array(df["lon"].to_numpy(np.float64))})
+                     "lat": batch["lat"].cast(pa.float64()),
+                     "lon": batch["lon"].cast(pa.float64())})
 
 
 #: mined-pair schema shared by the DBSCAN and range-join consumers:

@@ -14,11 +14,12 @@ src/main.py:223-232 — here parallelism is per block, map identity is data):
   chain into one task per block, warm workers reuse the STRtree / lookup
   state built from ``ray.put`` broadcasts, and no stage reserves CPUs;
 * per-source last-wins dedup (src/sources/osm_source.py:43) is a broadcast
-  anti-join — collision keys come from a distributed narrow pre-pass
-  (``collision_keys``: Arrow-only key projection, bucket groupby, per-bucket
-  numpy reduce; the driver sees only collisions), the big stream never
-  shuffles; the cross-source first-wins merge (src/main.py:95-112) is a
-  bucketed keyed shuffle with a deterministic ordering column (map_order);
+  anti-join — collision keys come from a distributed pre-pass
+  (``collision_keys``: ``spans.decode_batch`` → narrow key projection,
+  bucket groupby, per-bucket numpy reduce; the driver sees only
+  collisions), the big stream never shuffles; the cross-source first-wins
+  merge (src/main.py:95-112) is a bucketed keyed shuffle with a
+  deterministic ordering column (map_order);
 * the report (A1–A3, src/main.py:52-112) is ONE osm_id-bucket shuffle:
   each bucket emits its merged rows plus per-map / per-check partials, so
   the driver only sums partials and never sees the merged rows it drops.
@@ -201,7 +202,7 @@ class FlagStage:
                         "fixable": iserr & chk.fixable,
                     }))
         if not out:
-            return _empty_flags()
+            return schema.FLAGS.empty_table().to_pandas()
         return pd.concat(out, ignore_index=True)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -240,17 +241,6 @@ def flag_batch(batch: pa.Table, wiki_ref_ref, wikidata_ref_ref) -> pa.Table:
     return stage(batch)
 
 
-def _empty_flags() -> pd.DataFrame:
-    return pd.DataFrame({
-        "doc_id": pd.Series(dtype=object), "map_name": pd.Series(dtype=object),
-        "osm_id": pd.Series(dtype=np.int64), "seq": pd.Series(dtype=np.int64),
-        "display_name": pd.Series(dtype=object),
-        "entity_type": pd.Series(dtype=object),
-        "check_name": pd.Series(dtype=object), "result": pd.Series(dtype=object),
-        "message": pd.Series(dtype=object), "fixable": pd.Series(dtype=bool),
-    })
-
-
 # ---------------------------------------------------------------------------
 # wide steps
 # ---------------------------------------------------------------------------
@@ -260,77 +250,23 @@ _KEY_SCHEMA = pa.schema([("key", pa.int64()), ("seq", pa.int64()),
 _DUP_SCHEMA = pa.schema([("key", pa.int64()), ("max_seq", pa.int64())])
 
 
-def _collision_proj(batch: pa.Table, slug2code: dict,
+def _collision_rows(batch: pa.Table, slug2code: dict,
                     n_buckets: int) -> pa.Table:
     """(key = slug_code<<44 | osm_id, seq, hash bucket) for every
     result-producing doc.  The reference accumulates only entities with >=1
     applicable check (src/sources/osm_source.py:37-43): sophox rows always,
     pbf rows iff place is city/town/village under every shipped suite —
-    last-wins competes only among these.
-
-    Kept entirely in Arrow: the doc_id parse is ``split_pattern`` +
-    ``list_element`` (C), the seq/origin/place probes filter the flattened
-    span texts BEFORE any object conversion (only the handful of matching
-    span rows ever become numpy), and the slug→code map runs over the
-    dictionary values, not the rows.  Falls back to the full
-    (malformed-tolerant) decode if a doc_id fails the int cast."""
-    n = batch.num_rows
-    try:
-        parts = pc.split_pattern(batch["doc_id"].combine_chunks(), "/")
-        slug_dict = pc.dictionary_encode(pc.list_element(parts, 0))
-        osm = pc.cast(pc.list_element(parts, 2), pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-    except pa.ArrowInvalid:
-        full = spans.decode_batch(batch)
-        slugs = full["map_slug"].combine_chunks()
-        slug_dict = pc.dictionary_encode(
-            slugs.chunk(0) if isinstance(slugs, pa.ChunkedArray) and
-            slugs.num_chunks else slugs)
-        osm = full["osm_id"].to_numpy(zero_copy_only=False)
-        t_seq = full["seq"].to_numpy(zero_copy_only=False)
-        origin = full["origin"].to_numpy(zero_copy_only=False)
-        place = full["place"].to_numpy(zero_copy_only=False)
-        has_result = (origin == "sophox") | np.isin(
-            place.astype(object), ("city", "town", "village"))
-        return _collision_rows(slug_dict, osm, t_seq, has_result, slug2code,
-                               n_buckets)
-    spans_col = batch["spans"].combine_chunks()
-    flat = pc.list_flatten(spans_col)
-    parents = pc.list_parent_indices(spans_col).to_numpy(zero_copy_only=False)
-    kind_dict = pc.dictionary_encode(pc.struct_field(flat, "kind"))
-    codes = kind_dict.indices.to_numpy(zero_copy_only=False)
-    kind_of = {k: i for i, k in enumerate(kind_dict.dictionary.to_pylist())}
-    texts = pc.struct_field(flat, "text")
-
-    def probe(kind: str, fn) -> tuple[np.ndarray, np.ndarray]:
-        """(parent rows, Arrow-computed values) of one span kind."""
-        c = kind_of.get(kind)
-        if c is None:
-            return np.empty(0, np.int64), None
-        m = codes == c
-        return parents[m], fn(texts.filter(pa.array(m)))
-
-    seq = np.full(n, -1, dtype=np.int64)
-    rows, vals = probe("seq", lambda a: pc.cast(a, pa.int64()))
-    if vals is not None:
-        seq[rows] = vals.to_numpy(zero_copy_only=False)
-    is_sophox = np.zeros(n, dtype=bool)
-    rows, vals = probe("origin", lambda a: pc.equal(a, "sophox"))
-    if vals is not None:
-        is_sophox[rows] = vals.to_numpy(zero_copy_only=False)
-    place_ctv = np.zeros(n, dtype=bool)
-    rows, vals = probe("tag:place", lambda a: pc.is_in(
-        a, value_set=pa.array(["city", "town", "village"])))
-    if vals is not None:
-        place_ctv[rows] = vals.to_numpy(zero_copy_only=False)
-    return _collision_rows(slug_dict, osm, seq, is_sophox | place_ctv,
-                           slug2code, n_buckets)
-
-
-def _collision_rows(slug_dict, osm, seq, has_result, slug2code,
-                    n_buckets) -> pa.Table:
+    last-wins competes only among these.  The slug→code map runs over the
+    dictionary values, not the rows."""
+    flat = spans.decode_batch(batch)
+    has_result = pc.fill_null(pc.or_(
+        pc.equal(flat["origin"], "sophox"),
+        pc.is_in(flat["place"], value_set=pa.array(["city", "town",
+                                                     "village"]))),
+        False).to_numpy()
     if not has_result.any():
         return _KEY_SCHEMA.empty_table()
+    slug_dict = pc.dictionary_encode(flat["map_slug"]).combine_chunks()
     dict_vals = slug_dict.dictionary.to_pylist()
     try:
         lut = np.array([slug2code[s] for s in dict_vals], dtype=np.int64)
@@ -339,11 +275,11 @@ def _collision_rows(slug_dict, osm, seq, has_result, slug2code,
         raise ValueError(
             f"collision_keys: slugs {missing} not in the "
             "partition list — pass the authoritative docs/ listing")
-    codes = lut[slug_dict.indices.to_numpy(zero_copy_only=False)[has_result]]
-    key = (codes << 44) | osm[has_result]
+    codes = lut[slug_dict.indices.to_numpy()[has_result]]
+    key = (codes << 44) | flat["osm_id"].to_numpy()[has_result]
     return pa.table({
         "key": pa.array(key, type=pa.int64()),
-        "seq": pa.array(seq[has_result], type=pa.int64()),
+        "seq": pa.array(flat["seq"].to_numpy()[has_result], type=pa.int64()),
         "_b": pa.array(widths.bucket_of(key, n_buckets), type=pa.int64())})
 
 
@@ -370,13 +306,14 @@ def collision_keys(data_dir: str, slugs: list[str]) -> pd.DataFrame:
     (reference keys its accumulator by bare id, last write wins —
     src/sources/osm_source.py:43).
 
-    Fully distributed: a streaming NARROW pre-pass (``decode_keys`` — no
-    tag scatters) projects each doc to one 24-byte (key, seq, bucket) row,
-    a ``groupby(bucket)`` shuffle of those narrow Arrow rows colocates each
-    hash bucket, and the per-bucket numpy reduce emits ONLY duplicated
-    keys.  The driver sees O(#collisions), never O(#docs); the big decoded
-    stream is neither shuffled nor materialized (re-reading the pruned
-    parquet beats pinning the whole decode in the object store at scale).
+    Fully distributed: a streaming pre-pass decodes each block
+    (``spans.decode_batch``) and projects each doc to one 24-byte (key,
+    seq, bucket) row (``_collision_rows``), a ``groupby(bucket)`` shuffle
+    of those narrow Arrow rows colocates each hash bucket, and the
+    per-bucket numpy reduce emits ONLY duplicated keys.  The driver sees
+    O(#collisions), never O(#docs); the big decoded stream is neither
+    shuffled nor materialized (re-reading the pruned parquet beats pinning
+    the whole decode in the object store at scale).
 
     Every call runs the pre-pass; the engine reads the table through
     ``collision_keys_ref``, which memoizes its broadcast."""
@@ -384,7 +321,7 @@ def collision_keys(data_dir: str, slugs: list[str]) -> pd.DataFrame:
     path = os.path.join(data_dir, "docs")
     ds = rd.read_parquet(path, columns=["doc_id", "spans"],
                          override_num_blocks=widths.collision_read_blocks())
-    parts = ds.map_batches(_collision_proj, batch_format="pyarrow",
+    parts = ds.map_batches(_collision_rows, batch_format="pyarrow",
                            fn_kwargs={"slug2code": slug2code,
                                       "n_buckets": widths.n_buckets()})
     # the read is already coalesced to ~1 block/CPU
@@ -456,7 +393,7 @@ def broadcast_refs(data_dir: str) -> dict:
 def decoded(data_dir: str, *, partition: str | None = None,
             dedup: bool = False, pip: bool = False) -> rd.Dataset:
     """The decoded document table as a lazy Dataset — the ONE decoded
-    read of ``docs`` (``collision_keys`` keeps its own narrow key read)
+    read of ``docs`` (``collision_keys`` keeps its own coalesced read)
     and the one definition of read → decode [→ dedup] [→ PIP].
 
     ``partition=None`` reads the whole table (``read_documents``: pruned,

@@ -65,6 +65,3 @@ FIXES = pa.schema([
     ("new_value", pa.string()),
     ("message", pa.string()),
 ])
-
-RESULT_OK = "CHECKED_OK"
-RESULT_ERROR = "CHECKED_ERROR"

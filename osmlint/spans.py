@@ -29,13 +29,19 @@ invariant: every transformation preserves span-sequence equality
 (kind, text, media_ref, order) — checks flag, they never mutate spans.
 ``decode → encode`` is the identity on this encoding (tested).
 
-Both directions are vectorized: decode flattens the list column once and
-scatters values by parent row index (numpy fancy indexing); encode builds
-the flat span arrays, sorts by (row, canonical order) and reassembles a
-ListArray from offsets.
+This module is the one reader of the format: the doc_id layout and the
+span kinds are known here only (``decode_batch``, ``doc_id_parts``), and
+every pass that needs a document's fields decodes it with
+``decode_batch``.  Both directions are vectorized: decode flattens the
+list column once and builds each flat column as an Arrow ``take`` from the
+span texts (one row → span index array per kind); encode builds the flat
+span arrays, sorts by (row, canonical order) and reassembles a ListArray
+from offsets.
 """
 
 from __future__ import annotations
+
+import logging
 
 import numpy as np
 import pandas as pd
@@ -77,95 +83,87 @@ for _i, (_k, _c) in enumerate(SUGGEST_KEYS):
     _ORDER["suggest:" + _k] = _SUG_BASE + _i
 
 
-def _scatter(texts: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
-    out = np.full(n, None, dtype=object)
-    out[rows] = texts
-    return out
+#: a well-formed doc_id is "<map_slug>/<entity_type>/<osm_id>"
+_DOC_ID = r"^[^/]*/[^/]*/-?[0-9]+$"
+#: (kind, column) of every span whose text is copied into a flat column
+_TEXT_COLUMNS = ([("origin", "origin")]
+                 + [("tag:" + k, c) for k, c in HOT_TAGS]
+                 + [("meta:" + k, c) for k, c in META_KEYS]
+                 + [("suggest:" + k, c) for k, c in SUGGEST_KEYS])
+
+
+def doc_id_parts(doc_id: pa.Array | pa.ChunkedArray) -> tuple:
+    """(map_slug, entity_type, int64 osm_id) Arrow arrays of well-formed
+    doc_ids — the one parse of the doc_id layout."""
+    parts = pc.split_pattern(doc_id, "/")
+    return (pc.list_element(parts, 0), pc.list_element(parts, 1),
+            pc.cast(pc.list_element(parts, 2), pa.int64()))
 
 
 def decode_batch(batch: pa.Table) -> pa.Table:
     """documents(doc_id, spans) -> flat columns (schema.FLAT_COLUMNS).
 
-    Zero per-row Python in the hot path: one list_flatten +
-    list_parent_indices, then masked scatters.
-    """
+    Per-row error policy (the reference silently skips entities raising
+    AttributeError, src/sources/osm_source.py:33-36): a row whose doc_id
+    is null or does not match ``_DOC_ID`` is dropped and the count logged,
+    never failing the block.  The rule is per row, so the output does not
+    depend on how the table is cut into batches.
+
+    No per-row Python: one list_flatten + list_parent_indices, then each
+    column is a ``take`` from the flattened span texts."""
+    ok = pc.fill_null(pc.match_substring_regex(batch["doc_id"], _DOC_ID),
+                      False)
+    n_bad = pc.sum(pc.invert(ok)).as_py() or 0
+    if n_bad:
+        logging.getLogger(__name__).warning(
+            "decode_batch: dropping %d malformed doc_ids", n_bad)
+        batch = batch.filter(ok)
     n = batch.num_rows
     doc_id = batch["doc_id"].combine_chunks()
     spans = batch["spans"].combine_chunks()
-    if isinstance(spans, pa.ChunkedArray):
-        spans = spans.combine_chunks()
     flat = pc.list_flatten(spans)
     parents = pc.list_parent_indices(spans).to_numpy(zero_copy_only=False)
-    # dictionary-encode kinds ONCE: per-kind selection compares int codes,
-    # not object strings (17 kinds x ~10 spans/doc otherwise dominates)
-    kind_dict = pc.dictionary_encode(pc.struct_field(flat, "kind"))
-    kind_codes = kind_dict.indices.to_numpy(zero_copy_only=False)
+    texts = pc.struct_field(flat, "text")
+    # dictionary-encode kinds ONCE: per-kind selection is one int compare;
+    # a null kind becomes '', a kind no column reads
+    kind_dict = pc.dictionary_encode(
+        pc.fill_null(pc.struct_field(flat, "kind"), ""))
+    codes = kind_dict.indices.to_numpy(zero_copy_only=False)
     kind_of = {k: i for i, k in enumerate(kind_dict.dictionary.to_pylist())}
-    texts = pc.struct_field(flat, "text").to_numpy(zero_copy_only=False)
-    media = pc.struct_field(flat, "media_ref").to_numpy(zero_copy_only=False)
+    # attached imagery is the 'media' span whose text is 'image'
+    img_row = len(kind_of)
+    media = np.flatnonzero(codes == kind_of.get("media", -1))
+    is_img = pc.equal(texts.take(media), "image").to_numpy(zero_copy_only=False)
+    codes = codes.copy()
+    codes[media[is_img]] = img_row
+    # slot[kind code, row] = index of the row's span of that kind (the last
+    # one wins), -1 if none; the extra last row stays -1 for absent kinds.
+    # int32 holds every index: a list array's offsets are int32
+    slot = np.full((img_row + 2, n), -1, dtype=np.int32)
+    slot[codes, parents] = np.arange(len(codes))
 
-    cols: dict[str, object] = {}
-    # doc_id layout: "<map_slug>/<entity_type>/<osm_id>"
-    did = doc_id.to_numpy(zero_copy_only=False)
-    split3 = [s.split("/") for s in did]
-    try:
-        osm_ids = np.array([int(p[2]) for p in split3], dtype=np.int64)
-    except (ValueError, IndexError):
-        # explicit per-row error policy (the reference silently skips
-        # entities raising AttributeError, src/sources/osm_source.py:33-36):
-        # DROP malformed doc_ids and log the count — never fail the block
-        import logging
-        ok = np.array([len(p) == 3 and p[2].lstrip("-").isdigit()
-                       for p in split3])
-        logging.getLogger(__name__).warning(
-            "decode_batch: dropping %d malformed doc_ids", (~ok).sum())
-        return decode_batch(batch.filter(pa.array(ok)))
-    cols["doc_id"] = did
-    cols["map_slug"] = np.array([p[0] for p in split3], dtype=object)
-    cols["entity_type"] = np.array([p[1] for p in split3], dtype=object)
-    cols["osm_id"] = osm_ids
+    def take(values: pa.Array, code: int) -> pa.Array:
+        idx = slot[code]
+        return values.take(pa.array(idx, mask=idx < 0))
 
-    def grab(kind: str) -> np.ndarray:
-        code = kind_of.get(kind)
-        if code is None:
-            return np.full(n, None, dtype=object)
-        m = kind_codes == code
-        return _scatter(texts[m], parents[m], n)
+    def column(kind: str) -> pa.Array:
+        return take(texts, kind_of.get(kind, -1))
 
-    cols["origin"] = grab("origin")
-    seq = np.full(n, -1, dtype=np.int64)
-    m = kind_codes == kind_of.get("seq", -1)
-    seq[parents[m]] = texts[m].astype(np.int64)
-    cols["seq"] = seq
-    lon = np.full(n, np.nan)
-    lat = np.full(n, np.nan)
-    m = kind_codes == kind_of.get("geom", -1)
+    map_slug, entity_type, osm_id = doc_id_parts(doc_id)
+    cols = {"doc_id": doc_id, "map_slug": map_slug,
+            "entity_type": entity_type, "osm_id": osm_id,
+            "seq": pc.fill_null(pc.cast(column("seq"), pa.int64()), -1)}
     # geom text is always 'Point(<lon> <lat>)' (see encode_table)
-    pts = [t[6:-1].split(" ") for t in texts[m]]
-    lon[parents[m]] = np.array([p[0] for p in pts], dtype=np.float64)
-    lat[parents[m]] = np.array([p[1] for p in pts], dtype=np.float64)
-    cols["lon"] = lon
-    cols["lat"] = lat
-    for key, col in HOT_TAGS:
-        cols[col] = grab("tag:" + key)
-    for key, col in META_KEYS:
-        cols[col] = grab("meta:" + key)
-    for key, col in SUGGEST_KEYS:
-        cols[col] = grab("suggest:" + key)
+    xy = pc.split_pattern(pc.utf8_slice_codeunits(column("geom"), 6, -1), " ")
+    for i, c in enumerate(("lon", "lat")):
+        cols[c] = pc.fill_null(pc.cast(pc.list_element(xy, i), pa.float64()),
+                               np.nan)
+    for kind, c in _TEXT_COLUMNS:
+        cols[c] = column(kind)
     # media image refs (not derivable from tags -> must round-trip)
-    m_img = (kind_codes == kind_of.get("media", -1)) & (texts == "image")
-    cols["media_img"] = _scatter(media[m_img], parents[m_img], n)
-
-    arrays = []
-    for name in schema.FLAT_COLUMNS:
-        v = cols[name]
-        if name in ("osm_id", "seq"):
-            arrays.append(pa.array(v, type=pa.int64()))
-        elif name in ("lat", "lon"):
-            arrays.append(pa.array(v, type=pa.float64()))
-        else:
-            arrays.append(pa.array(v, type=pa.string()))
-    return pa.table(dict(zip(schema.FLAT_COLUMNS, arrays)))
+    cols["media_img"] = take(pc.struct_field(flat, "media_ref"), img_row)
+    return pa.table([cols[c] for c in schema.FLAT_COLUMNS],
+                    names=schema.FLAT_COLUMNS)
 
 
 def encode_table(flat: pa.Table) -> pa.Table:

@@ -86,22 +86,66 @@ def test_span_roundtrip_random_frames(rows):
     assert list(got["name"].fillna("-")) == list(df["name"].fillna("-"))
 
 
-def test_malformed_doc_ids_dropped():
-    good = pd.DataFrame({
-        "doc_id": ["m/node/1", "bogus", "m/way/not_a_number", "m/node/2"],
-        "spans": [[{"kind": "origin", "text": "pbf", "media_ref": "",
-                    "offset": 0},
-                   {"kind": "seq", "text": str(i), "media_ref": "",
-                    "offset": 1},
-                   {"kind": "geom", "text": "Point(20.0000000 44.0000000)",
-                    "media_ref": "", "offset": 2}] for i in range(4)],
-    })
+#: doc_ids the decoder drops: not three parts, a non-integer id (one that
+#: passes ``lstrip("-").isdigit()`` but not ``int()``), four parts, null
+MALFORMED = ["bogus", "m/way/not_a_number", "m/node/--5", "a/b/3/4", None]
+
+
+def _docs(doc_ids: list, names: list | None = None) -> pa.Table:
+    """One well-formed span list per doc_id: origin, seq = row, geom and
+    an optional name tag."""
     from osmlint import schema
-    t = pa.Table.from_pandas(good, preserve_index=False,
-                             schema=schema.DOCUMENTS)
+    rows = []
+    for i, name in enumerate(names or [None] * len(doc_ids)):
+        row = [{"kind": "origin", "text": "pbf", "media_ref": "",
+                "offset": 0},
+               {"kind": "seq", "text": str(i), "media_ref": "", "offset": 1},
+               {"kind": "geom", "text": f"Point({20 + i / 8:.7f} 44.0000000)",
+                "media_ref": "", "offset": 2}]
+        if name is not None:
+            row.append({"kind": "tag:name", "text": name, "media_ref": "",
+                        "offset": 3})
+        rows.append(row)
+    return pa.table([pa.array(doc_ids, pa.string()),
+                     pa.array(rows, schema.DOCUMENTS.field("spans").type)],
+                    schema=schema.DOCUMENTS)
+
+
+def test_malformed_doc_ids_dropped():
+    for bad in MALFORMED:
+        out = spans.decode_batch(_docs(["m/node/1", bad, "m/node/2"]))
+        assert out["osm_id"].to_pylist() == [1, 2], bad
+        assert out["seq"].to_pylist() == [0, 2], bad
+    # the rule is per row: a neighbour does not change what is kept
+    out = spans.decode_batch(_docs(["a/b/3/4", "m/node/-7"]))
+    assert out["osm_id"].to_pylist() == [-7]
+    assert spans.decode_batch(_docs(MALFORMED)).num_rows == 0
+
+
+def test_null_span_kind_ignored():
+    t = _docs(["m/node/1"], ["a"])
+    spans_type = t.schema.field("spans").type
+    row = t["spans"].to_pylist()[0]
+    row.insert(0, {"kind": None, "text": "x", "media_ref": None,
+                   "offset": 0})
+    t = t.set_column(1, "spans", pa.array([row], spans_type))
     out = spans.decode_batch(t)
-    assert out.num_rows == 2
-    assert sorted(out["osm_id"].to_pylist()) == [1, 2]
+    assert out.select(["osm_id", "seq", "origin", "name"]).to_pylist() == [
+        {"osm_id": 1, "seq": 0, "origin": "pbf", "name": "a"}]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(
+    st.one_of(st.builds("m/way/{}".format, st.integers(-10**12, 10**12)),
+              st.sampled_from(MALFORMED)),
+    st.one_of(st.none(), name_st)), max_size=30), st.data())
+def test_decode_independent_of_batch_boundaries(rows, data):
+    t = _docs([d for d, _ in rows], [n for _, n in rows])
+    cut = data.draw(st.integers(0, len(rows)))
+    a, b = t.slice(0, cut), t.slice(cut)
+    whole = spans.decode_batch(pa.concat_tables([a, b]))
+    parts = pa.concat_tables([spans.decode_batch(a), spans.decode_batch(b)])
+    assert whole.equals(parts)
 
 
 # --- PageRank kernel (graph._pr_local, pure numpy) -------------------------

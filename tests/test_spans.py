@@ -35,3 +35,17 @@ def test_sophox_spans(synth_small):
     assert flat["check_description"].notna().all()
     assert (flat["tag_1"] == "name").all()
     assert flat["val_1"].notna().all()
+
+
+def test_decode_matches_flat_table(synth_small):
+    """The decoder against an independent source: ``flat.parquet``, the
+    same entities as flat columns (the table the DuckDB oracles read),
+    written before the docs were span-encoded."""
+    from osmlint import schema
+    order = [("doc_id", "ascending"), ("seq", "ascending")]
+    docs = pq.read_table(synth_small + "/docs", columns=["doc_id", "spans"])
+    got = spans.decode_batch(docs).sort_by(order)
+    want = pq.read_table(synth_small + "/flat.parquet",
+                         columns=schema.FLAT_COLUMNS).sort_by(order)
+    assert got.num_rows == want.num_rows > 0
+    assert got.equals(want)
